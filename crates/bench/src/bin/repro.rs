@@ -40,9 +40,10 @@
 //! command submits its jobs to (`run`, `check`, `serve`, `perf-report`) —
 //! cycle counts are bit-identical at any width, and the actual pool size is
 //! recorded in the manifest fingerprint.
-//! `--sim-threads N` runs the cycle simulator on N deterministic worker
-//! threads (`bench-sim`, `perf-report`) — results are bit-identical at any
-//! N, and the count is recorded in the manifest fingerprint.
+//! `--sim-threads N` runs the cycle simulator's epoch loop on N
+//! deterministic worker threads (`bench-sim`, `perf-report`); the default,
+//! 1, runs it inline on the calling thread. Results are bit-identical at
+//! any N, and the count is recorded in the manifest fingerprint.
 //! `--opt none|basic|reuse|loop` selects the middle-end level for the
 //! execution commands (`trace`, `profile`, `bench-sim`, `analytic`); the
 //! default is the suite-wide [`ocl_suite::DEFAULT_OPT`]. Output is markdown
@@ -199,13 +200,14 @@ fn run_analytic(level: OptLevel) {
     }
 }
 
-/// Time the cycle simulator on a fixed Figure 7 sub-grid under the run
-/// loops — the event-driven/traced loop at `sim_threads` workers (the
-/// default path) and the dense reference loop — in the same process, and
-/// write `BENCH_sim.json`. With `--sim-threads N > 1` the 1-thread
-/// sequential loop is timed as a third column so the parallel speedup is
-/// visible on its own. Cycle counts are asserted equal across every loop
-/// along the way, so the timing run doubles as a differential check.
+/// Time the cycle simulator on a fixed Figure 7 sub-grid under its two
+/// run loops — the epoch loop at `sim_threads` workers (the default path)
+/// and the dense reference loop — in the same process, and write
+/// `BENCH_sim.json`. With `--sim-threads N > 1` the epoch loop's inline
+/// one-worker path is timed as a third column, `seq`, so the parallel
+/// speedup is visible on its own. Cycle counts are asserted equal across
+/// every loop along the way, so the timing run doubles as a differential
+/// check.
 ///
 /// Field-name compat: `fast_host_secs` is always the wall time of the
 /// *default* loop at the recorded `meta.threads` count — baselines gate
@@ -221,7 +223,7 @@ fn run_bench_sim(fast: bool, level: OptLevel, sim_threads: u32, manifest: &mut R
     println!("## Simulator scheduler wall-clock (fast-forward vs dense reference)\n");
     if par {
         println!(
-            "{sim_threads} sim threads; `fast` is the parallel loop, `seq` its 1-thread path\n"
+            "{sim_threads} sim threads; `fast` is the epoch loop on {sim_threads} workers, `seq` the same loop inline on one\n"
         );
         println!("| benchmark | config | sim cycles | dense s | seq s | fast s | fast cyc/s | speedup | par speedup |");
         println!("|---|---|---|---|---|---|---|---|---|");
@@ -249,8 +251,8 @@ fn run_bench_sim(fast: bool, level: OptLevel, sim_threads: u32, manifest: &mut R
                 let cycles = ocl_suite::run_vortex_at(&b, scale, &cfg, level)
                     .unwrap()
                     .cycles;
-                // 1-thread sequential loop, only timed separately when the
-                // default loop above ran parallel.
+                // The epoch loop inline on one worker, only timed
+                // separately when the default loop above ran parallel.
                 let sq = if par {
                     cfg.sim_threads = 1;
                     let sq = bench(iters, || {
@@ -263,7 +265,7 @@ fn run_bench_sim(fast: bool, level: OptLevel, sim_threads: u32, manifest: &mut R
                         .cycles;
                     assert_eq!(
                         cycles, seq_cycles,
-                        "{name} 4c{w}w{t}t: parallel and sequential loops disagree"
+                        "{name} 4c{w}w{t}t: parallel and inline epoch loops disagree"
                     );
                     Some(sq)
                 } else {
@@ -341,7 +343,7 @@ fn run_bench_sim(fast: bool, level: OptLevel, sim_threads: u32, manifest: &mut R
     println!("\nOverall: dense {dense_total:.3}s vs fast-forward {fast_total:.3}s = {overall:.2}x");
     if par {
         println!(
-            "Parallel ({sim_threads} threads): sequential {seq_total:.3}s vs parallel \
+            "Parallel ({sim_threads} threads): inline {seq_total:.3}s vs parallel \
              {fast_total:.3}s = {:.2}x",
             seq_total / fast_total
         );

@@ -287,6 +287,11 @@ impl Executor {
             done_cv: Condvar::new(),
         });
         let start = self.shared.next_worker.fetch_add(n, Ordering::Relaxed);
+        // Count before publishing: a worker that is already awake may pop
+        // (and `fetch_sub`) a task the instant it lands in a deque, so the
+        // increment must happen-before every push or the counter wraps.
+        let depth = self.shared.queued.fetch_add(n, Ordering::AcqRel) + n;
+        metrics::gauge_set("sched.queue_depth", depth as f64);
         let now = Instant::now();
         for (index, job) in jobs.into_iter().enumerate() {
             let w = (start + index) % self.workers;
@@ -304,8 +309,6 @@ impl Executor {
                 submitted: now,
             });
         }
-        let depth = self.shared.queued.fetch_add(n, Ordering::AcqRel) + n;
-        metrics::gauge_set("sched.queue_depth", depth as f64);
         let mut woken = 0u64;
         for p in &self.shared.parkers {
             // `sched.lost_unpark` drops the notification; liveness must
@@ -374,7 +377,11 @@ fn worker_loop(me: usize, shared: &Shared) {
                     shared.stats.steals.fetch_add(1, Ordering::Relaxed);
                     metrics::counter_add("sched.steal", 1);
                 }
-                let depth = shared.queued.fetch_sub(1, Ordering::AcqRel) - 1;
+                // Pairs with the count-before-publish in `submit`: the pop
+                // saw a pushed task, so its increment is already visible.
+                let prev = shared.queued.fetch_sub(1, Ordering::AcqRel);
+                debug_assert!(prev > 0, "queue counter underflow");
+                let depth = prev - 1;
                 metrics::gauge_set("sched.queue_depth", depth as f64);
                 execute(me, task, shared);
                 // Work may remain; wake one neighbour to help drain it.
@@ -717,6 +724,91 @@ mod tests {
             exec.stats().parks() > 0,
             "workers should have parked between 200 sequential batches"
         );
+    }
+
+    #[test]
+    fn queue_counter_never_wraps_under_back_to_back_batches() {
+        // Hundreds of small batches submitted without waiting, against
+        // workers that are already awake and polling their deques, so a
+        // task can be popped the instant it lands. Counting after
+        // publishing let such a pop run its `fetch_sub` first and wrap the
+        // counter (a dead worker in debug builds, a ~1.8e19 `queue_depth`
+        // in release).
+        const BATCHES: u64 = 400;
+        let exec = Executor::new(ExecConfig::with_workers(4));
+        let total: u64 = 4 + (0..BATCHES).map(|b| b % 4 + 1).sum::<u64>();
+        let go = Arc::new(AtomicBool::new(false));
+        let done = AtomicBool::new(false);
+        // Stops the sampler however the scope ends, a panic included, so a
+        // failure reports instead of hanging the scope's join.
+        struct StopOnDrop<'a>(&'a AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Release);
+            }
+        }
+        let max_seen = std::thread::scope(|s| {
+            let _stop = StopOnDrop(&done);
+            let sampler = s.spawn(|| {
+                let mut max = 0;
+                while !done.load(Ordering::Acquire) {
+                    max = max.max(exec.queue_depth());
+                    std::hint::spin_loop();
+                }
+                max
+            });
+            // Pre-wake: one job per worker that holds it until the stream
+            // below is under way, then lets it loose on the deques.
+            let mut handles = vec![exec.submit(
+                (0..4)
+                    .map(|i| {
+                        let go = Arc::clone(&go);
+                        quick_job(i, move || {
+                            while !go.load(Ordering::Acquire) {
+                                std::thread::yield_now();
+                            }
+                            i
+                        })
+                    })
+                    .collect(),
+            )];
+            let mut id = 4;
+            for b in 0..BATCHES {
+                let jobs = (0..b % 4 + 1)
+                    .map(|_| {
+                        id += 1;
+                        let v = id;
+                        quick_job(v, move || v)
+                    })
+                    .collect();
+                handles.push(exec.submit(jobs));
+                go.store(true, Ordering::Release);
+            }
+            // A worker killed by an underflow would leave its batch pending
+            // forever: wait off-thread so that fails the test, not hangs it.
+            let (tx, rx) = std::sync::mpsc::channel();
+            let waiter = std::thread::spawn(move || {
+                let n: usize = handles.into_iter().map(|h| h.wait().len()).sum();
+                tx.send(n).expect("test thread is listening");
+            });
+            let finished = rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("every batch completes (no worker died)");
+            done.store(true, Ordering::Release);
+            waiter.join().expect("waiter thread");
+            assert_eq!(finished as u64, total);
+            sampler.join().expect("sampler thread")
+        });
+        assert_eq!(
+            exec.queue_depth(),
+            0,
+            "quiescent executor has nothing queued"
+        );
+        assert!(
+            max_seen as u64 <= total,
+            "queue_depth wrapped: sampled {max_seen} with only {total} jobs ever submitted"
+        );
+        assert_eq!(exec.stats().jobs(), total);
     }
 
     #[test]

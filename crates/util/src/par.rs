@@ -229,6 +229,16 @@ mod tests {
         }
     }
 
+    /// One worker is the simulator's default epoch loop: it must run every
+    /// item on the calling thread, with no thread spawned.
+    #[test]
+    fn par_map_mut_runs_one_worker_inline() {
+        let caller = std::thread::current().id();
+        let mut items: Vec<u32> = (0..8).collect();
+        let ran_on = par_map_mut(&mut items, 1, |_| std::thread::current().id());
+        assert!(ran_on.iter().all(|&id| id == caller));
+    }
+
     #[test]
     fn par_map_mut_empty_and_single() {
         let mut none: Vec<u32> = vec![];

@@ -112,7 +112,7 @@ pub enum TickResult {
     /// The chosen warp would issue an atomic, but the caller asked to stop
     /// before atomics (`amo_ok = false`). Nothing was executed, accounted,
     /// or emitted: re-ticking the same cycle with `amo_ok = true` issues
-    /// it. Only the parallel run loop ever sees this — atomics are the one
+    /// it. Only the epoch run loop ever sees this — atomics are the one
     /// cross-core-ordered operation, so it executes them serially at the
     /// commit point in global cycle order.
     AmoPending,
@@ -497,7 +497,7 @@ impl Core {
     /// [`NopSink`](crate::trace::NopSink) the emission sites monomorphize
     /// away.
     ///
-    /// `amo_ok = false` (parallel epochs only) makes the tick stop *before*
+    /// `amo_ok = false` (the epoch loop only) makes the tick stop *before*
     /// executing an atomic, returning [`TickResult::AmoPending`] with no
     /// state change at all.
     ///
@@ -678,56 +678,79 @@ impl Core {
         if to <= from {
             return;
         }
-        let span = to - from;
-        let n = self.warps_n as usize;
-        let mut first: Option<(u32, u32)> = None;
-        for k in 0..n {
-            let wi = (self.rr_next + k) % n;
-            let w = &self.warps[wi];
-            if w.active && w.barrier.is_none() {
-                first = Some((wi as u32, w.pc));
-                break;
-            }
-        }
-        let core_id = self.id;
-        let mut charge = |stats: &mut CoreStats, kind: StallKind, a: u64, b: u64| {
+        for (kind, a, b) in self.stall_segments(from, to, program) {
             if b > a {
-                stats.stall(kind, b - a);
+                self.stats.stall(kind, b - a);
                 sink.event(&TraceEvent::Stall {
-                    core: core_id,
+                    core: self.id,
                     kind,
                     from: a,
                     to: b,
                 });
             }
-        };
-        let Some((wi, _pc)) = first else {
-            charge(&mut self.stats, StallKind::Barrier, from, to);
+        }
+    }
+
+    /// Take back the stall cycles [`fast_forward_stalls`] charged over
+    /// `[from, to)`. The run loop charges a stall span in full when it
+    /// opens; an instruction-budget trip at an epoch boundary inside the
+    /// span hands back the part past the boundary, so the partial stats
+    /// match the dense loop's at that boundary. The span's trace event is
+    /// already out and is left as charged.
+    ///
+    /// [`fast_forward_stalls`]: Core::fast_forward_stalls
+    pub fn retract_stalls(&mut self, from: u64, to: u64, program: &Program) {
+        if to <= from {
             return;
+        }
+        for (kind, a, b) in self.stall_segments(from, to, program) {
+            if b > a {
+                self.stats.unstall(kind, b - a);
+            }
+        }
+    }
+
+    /// The dense loop's classification of the no-issue cycles `[from, to)`
+    /// as at most two `(kind, start, end)` segments (an empty one has
+    /// `end <= start`). Splitting a span at any cycle classifies the two
+    /// halves exactly as the whole, which is what makes a charge
+    /// retractable.
+    fn stall_segments(
+        &mut self,
+        from: u64,
+        to: u64,
+        program: &Program,
+    ) -> [(StallKind, u64, u64); 2] {
+        let n = self.warps_n as usize;
+        let first = (0..n)
+            .map(|k| (self.rr_next + k) % n)
+            .find(|&wi| self.warps[wi].active && self.warps[wi].barrier.is_none());
+        let Some(wi) = first else {
+            return [(StallKind::Barrier, from, to), (StallKind::Barrier, to, to)];
         };
-        let slot = match self.islots[wi as usize] {
-            IssueSlot::Stale => self.refresh_slot(wi as usize, program),
+        let slot = match self.islots[wi] {
+            IssueSlot::Stale => self.refresh_slot(wi, program),
             s => s,
         };
         let IssueSlot::Ready { mop, t_sb: ready } = slot else {
             // Unreachable: next_issue_cycle forces dense stepping on a bad
             // PC, so no span is ever opened over one.
-            return;
+            return [(StallKind::Scoreboard, from, from); 2];
         };
-        let sb_cycles = ready.clamp(from, to) - from;
+        let split = ready.clamp(from, to);
         if mop.is_mem {
-            charge(
-                &mut self.stats,
-                StallKind::Scoreboard,
-                from,
-                from + sb_cycles,
-            );
-            charge(&mut self.stats, StallKind::LsuFull, from + sb_cycles, to);
+            [
+                (StallKind::Scoreboard, from, split),
+                (StallKind::LsuFull, split, to),
+            ]
         } else {
             // A non-memory warp blocks only on the scoreboard, so its
             // operands cannot come ready inside the span.
-            debug_assert_eq!(sb_cycles, span);
-            charge(&mut self.stats, StallKind::Scoreboard, from, to);
+            debug_assert_eq!(split, to);
+            [
+                (StallKind::Scoreboard, from, to),
+                (StallKind::Scoreboard, to, to),
+            ]
         }
     }
 

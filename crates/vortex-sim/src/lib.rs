@@ -75,26 +75,29 @@ pub struct SimConfig {
     /// Safety limit on simulated cycles.
     pub max_cycles: u64,
     /// Watchdog budget on issued instructions (`u64::MAX` = unlimited).
-    /// Unlike `max_cycles`, this bounds *work* rather than time, so a
-    /// compute-bound runaway kernel trips it at the same point in both
-    /// scheduler modes regardless of how stall cycles are skipped.
+    /// Unlike `max_cycles`, this bounds *work* rather than time. It trips
+    /// at the first epoch boundary (a multiple of `epoch_cycles`) at which
+    /// the launch has issued more than this many instructions, so both run
+    /// loops stop at the same cycle with the same partial statistics, and
+    /// a runaway kernel overshoots by at most one epoch of issues.
     pub max_instructions: u64,
-    /// Force the dense cycle-by-cycle loop instead of event-driven
-    /// fast-forwarding. The two produce bit-identical results (cycles,
+    /// Force the dense cycle-by-cycle loop instead of the event-driven
+    /// epoch loop. The two produce bit-identical results (cycles,
     /// stall breakdown, memory state); this is the escape hatch for
     /// differential testing and for debugging the scheduler itself.
     /// Reference mode also disables the macro-op trace cache, keeping the
     /// baseline on the from-scratch decode path.
     pub reference_mode: bool,
-    /// Worker threads for the deterministic parallel run loop. `1` (the
-    /// default) keeps the sequential event-driven scheduler; `> 1` runs
-    /// cores concurrently in barrier-synchronized epochs with results
-    /// bit-identical to the sequential loops (see [`memsys`]).
+    /// Worker threads for the epoch loop. `1` (the default) advances the
+    /// cores inline on the calling thread; `> 1` runs them concurrently in
+    /// barrier-synchronized epochs. Results are bit-identical at any count
+    /// (see [`memsys`]).
     pub sim_threads: u32,
     /// Epoch length in cycles for the shared-memory-system quantization.
-    /// All run loops freeze the shared L2/DRAM timing state at multiples
+    /// Both run loops freeze the shared L2/DRAM timing state at multiples
     /// of this, so changing it changes multi-core timings (deterministic
-    /// for any fixed value); it never affects single-core machines.
+    /// for any fixed value); it never affects single-core timings. It is
+    /// also the grain of the instruction budget (`max_instructions`).
     pub epoch_cycles: u64,
 }
 
@@ -282,8 +285,6 @@ pub struct Simulator {
     cores: Vec<Core>,
     memsys: MemSystem,
     program: Program,
-    /// Whether the most recent launch used the parallel run loop.
-    used_parallel: bool,
 }
 
 impl Simulator {
@@ -296,7 +297,6 @@ impl Simulator {
             cores,
             program,
             cfg,
-            used_parallel: false,
         }
     }
 
@@ -319,12 +319,6 @@ impl Simulator {
         self.cores.iter().any(|c| c.trace_cache_built())
     }
 
-    /// Whether the most recent [`run`](Simulator::run) used the parallel
-    /// epoch loop (as opposed to one of the sequential schedulers).
-    pub fn last_run_parallel(&self) -> bool {
-        self.used_parallel
-    }
-
     /// Reset all cores to warp 0 / pc `entry` with one active thread, as the
     /// runtime's doorbell does on real hardware.
     pub fn start(&mut self) {
@@ -336,16 +330,19 @@ impl Simulator {
     /// Run until every warp has halted. Returns statistics and console
     /// output.
     ///
-    /// The default scheduler is event-driven (see [`Simulator::run_events`]);
-    /// [`SimConfig::reference_mode`] selects the dense cycle-by-cycle loop.
-    /// The two are bit-identical in every observable: final cycle count,
-    /// stall breakdown, cache/DRAM counters, memory state, printf output.
+    /// The default scheduler is the event-driven epoch loop (see
+    /// [`Simulator::run_epochs`]); [`SimConfig::reference_mode`] selects
+    /// the dense cycle-by-cycle loop. The two are bit-identical in every
+    /// observable: final cycle count, stall breakdown, cache/DRAM counters,
+    /// memory state, printf output.
     ///
     /// On a fault the returned [`SimFault`] carries the statistics and
     /// printf output accumulated up to the abort. The *error* is identical
     /// across scheduler modes (faults are derived from identical machine
-    /// state); the partial stats are best-effort and may differ in how
-    /// stall cycles were bulk-accounted at the moment of abort.
+    /// state). After an instruction-budget trip the partial stats are
+    /// identical too: both loops stop at the same epoch boundary. For the
+    /// other faults they are best-effort and may differ in how stall cycles
+    /// were bulk-accounted at the moment of abort.
     pub fn run(&mut self) -> Result<SimResult, Box<SimFault>> {
         self.run_with_sink(&mut trace::NopSink)
     }
@@ -369,21 +366,10 @@ impl Simulator {
         // own work and agree with the launch's event trace.
         let (l2_hits0, l2_misses0, dr_acc0, dr_rowhits0) = self.memsys.observed();
         let mut printf_output = Vec::new();
-        // The parallel loop hands instruction-budgeted runs back to the
-        // sequential scheduler: the budget must trip at the identical
-        // instruction, which only a globally ordered loop can check
-        // mid-epoch. Budgets are a watchdog/debug feature, not a perf path.
-        let parallel = !self.cfg.reference_mode
-            && self.cfg.sim_threads > 1
-            && self.cores.len() > 1
-            && self.cfg.max_instructions == u64::MAX;
-        self.used_parallel = parallel;
         let outcome = if self.cfg.reference_mode {
             self.run_dense(&mut printf_output, sink)
-        } else if parallel {
-            self.run_parallel(&mut printf_output, sink)
         } else {
-            self.run_events(&mut printf_output, sink)
+            self.run_epochs(&mut printf_output, sink)
         };
         let (cycles, fault) = match outcome {
             Ok(cycles) => (cycles, None),
@@ -449,8 +435,8 @@ impl Simulator {
     }
 
     /// The dense reference loop: every core ticks every cycle while any
-    /// warp is live. This is the semantic definition the event-driven
-    /// scheduler must reproduce bit-for-bit; keep it boring.
+    /// warp is live. This is the semantic definition the epoch loop must
+    /// reproduce bit-for-bit; keep it boring.
     ///
     /// Errors carry the cycle count at the abort so the caller can report
     /// partial statistics.
@@ -460,11 +446,21 @@ impl Simulator {
         sink: &mut S,
     ) -> Result<u64, (SimError, u64)> {
         let budget = self.cfg.max_instructions;
+        let epoch = self.memsys.epoch_cycles();
         let mut cycle: u64 = 0;
         loop {
+            // The instruction budget trips at the first epoch boundary past
+            // it, with everything before the boundary ticked: the rule the
+            // epoch loop can check without a global order inside an epoch.
+            if cycle.is_multiple_of(epoch)
+                && self.instructions_total() > budget
+                && self.cores.iter().any(Core::any_active)
+            {
+                return Err((SimError::InstrLimit(budget), cycle));
+            }
             // Freeze/commit the shared memory system at epoch boundaries —
-            // the same quantization the parallel loop uses, applied here so
-            // all schedulers see identical multi-core timing.
+            // the same quantization the epoch loop uses, applied here so
+            // both loops see identical multi-core timing.
             self.memsys.advance_to(cycle);
             let mut any_alive = false;
             let mut any_issued = false;
@@ -501,9 +497,6 @@ impl Simulator {
                 // cycle can change anything.
                 return Err((self.deadlock_error(), cycle + 1));
             }
-            if budget != u64::MAX && self.instructions_total() > budget {
-                return Err((SimError::InstrLimit(budget), cycle + 1));
-            }
             cycle += 1;
             if cycle > self.cfg.max_cycles {
                 return Err((SimError::CycleLimit(cycle), cycle));
@@ -511,119 +504,19 @@ impl Simulator {
         }
     }
 
-    /// The event-driven scheduler: each core carries the next cycle it must
-    /// be ticked at, and the clock jumps straight to the earliest one.
-    ///
-    /// Why this is exact: a core that fails to issue at cycle `c` cannot
-    /// issue before [`Core::next_issue_cycle`] — scoreboard ready-times,
-    /// MSHR free-times and barrier membership are core-local facts that
-    /// only one of the core's *own* issues can change. Other cores interact
-    /// only through the shared L2/DRAM/memory at execute time, which
-    /// affects the latency of *future* issues, not whether this core can
-    /// issue; and since due cores are ticked in core order at each event
-    /// cycle, those shared structures see the exact access sequence of the
-    /// dense loop. The skipped cycles are bulk-accounted by
-    /// [`Core::fast_forward_stalls`] with the dense loop's per-cycle
-    /// classification.
-    fn run_events<S: TraceSink>(
-        &mut self,
-        printf_output: &mut Vec<String>,
-        sink: &mut S,
-    ) -> Result<u64, (SimError, u64)> {
-        let limit = self.cfg.max_cycles;
-        let budget = self.cfg.max_instructions;
-        let n = self.cores.len();
-        let mut next_tick = vec![0u64; n];
-        let mut end: u64 = 0;
-        loop {
-            let mut cycle = u64::MAX;
-            let mut any_alive = false;
-            for (ci, core) in self.cores.iter().enumerate() {
-                if core.any_active() {
-                    any_alive = true;
-                    cycle = cycle.min(next_tick[ci]);
-                }
-            }
-            if !any_alive {
-                // Every warp has halted; the dense loop would have broken
-                // out one cycle after the last issue.
-                return Ok(end);
-            }
-            if cycle == u64::MAX {
-                // No core has a pending event: every live warp is parked
-                // at a barrier — the same state the dense loop detects the
-                // cycle after the last arrival, with the same stuck set.
-                return Err((self.deadlock_error(), end));
-            }
-            if cycle > limit {
-                // The dense loop errors as soon as its counter passes the
-                // limit, always with value limit + 1.
-                return Err((
-                    SimError::CycleLimit(limit.saturating_add(1)),
-                    limit.saturating_add(1),
-                ));
-            }
-            self.memsys.advance_to(cycle);
-            for (ci, tick_at) in next_tick.iter_mut().enumerate() {
-                if *tick_at != cycle || !self.cores[ci].any_active() {
-                    continue;
-                }
-                let r = self.cores[ci]
-                    .tick(
-                        cycle,
-                        &self.program,
-                        &mut self.mem,
-                        &mut self.memsys.views_mut()[ci],
-                        printf_output,
-                        sink,
-                        true,
-                    )
-                    .map_err(|e| (e, cycle + 1))?;
-                if matches!(r, TickResult::Issued) {
-                    *tick_at = cycle + 1;
-                } else {
-                    let target = self.cores[ci].next_event();
-                    debug_assert_eq!(
-                        target,
-                        self.cores[ci].next_issue_cycle(cycle, &self.program),
-                        "cached next-event diverged from recomputation"
-                    );
-                    if target != u64::MAX {
-                        self.cores[ci].fast_forward_stalls(
-                            cycle + 1,
-                            target.min(limit.saturating_add(1)),
-                            &self.program,
-                            sink,
-                        );
-                    }
-                    // A core parked forever (target = MAX) is left alone:
-                    // the deadlock check above fires once every other core
-                    // drains, without pre-charging stall cycles that the
-                    // abort would cut short.
-                    *tick_at = target;
-                }
-            }
-            end = cycle + 1;
-            if budget != u64::MAX && self.instructions_total() > budget {
-                // Issues happen in the identical order in both scheduler
-                // modes, so the budget trips at the identical instruction.
-                return Err((SimError::InstrLimit(budget), end));
-            }
-        }
-    }
-
-    /// The deterministic parallel scheduler: cores advance concurrently in
-    /// barrier-synchronized epochs of [`SimConfig::epoch_cycles`] cycles.
+    /// The production scheduler: cores advance in barrier-synchronized
+    /// epochs of [`SimConfig::epoch_cycles`] cycles, inline on the calling
+    /// thread or, with [`SimConfig::sim_threads`] `> 1`, concurrently.
     ///
     /// Within an epoch every core runs its own event-driven micro-loop
-    /// against frozen shared state — an immutable snapshot of functional
-    /// memory (plain stores buffer per-core) and its private [`MemView`] of
-    /// the L2/DRAM timing models. Since the sequential loops quantize the
-    /// shared memory system on the identical boundaries
+    /// ([`micro_run`]) against frozen shared state — an immutable snapshot
+    /// of functional memory (plain stores buffer per-core) and its private
+    /// [`MemView`] of the L2/DRAM timing models. Since the dense loop
+    /// quantizes the shared memory system on the identical boundaries
     /// ([`MemSystem::advance_to`]), a core's evolution inside an epoch
     /// depends only on its own state: the worker interleaving is
     /// unobservable and cycles, stats, trace events and printf output are
-    /// bit-identical to `run_events`.
+    /// bit-identical to the dense loop's.
     ///
     /// Atomics are the one cross-core coupling inside an epoch; a tick
     /// stops *before* executing one ([`TickResult::AmoPending`]) and the
@@ -631,25 +524,24 @@ impl Simulator {
     /// order against the master memory, resuming each core in between. At
     /// the epoch end, buffered stores land in canonical core order, the
     /// timing logs merge, and the buffered events/printf interleave back
-    /// into the sequential emission order.
-    fn run_parallel<S: TraceSink>(
+    /// into the dense loop's emission order.
+    ///
+    /// The instruction budget is checked at each epoch boundary, after the
+    /// commit: the dense loop's rule (see [`Simulator::run_dense`]).
+    fn run_epochs<S: TraceSink>(
         &mut self,
         printf_output: &mut Vec<String>,
         sink: &mut S,
     ) -> Result<u64, (SimError, u64)> {
         let limit = self.cfg.max_cycles;
-        // Worker threads beyond the host's cores only add context-switch
-        // overhead to a CPU-bound lockstep loop, so clamp the pool. Results
-        // never depend on the worker count (the epoch protocol makes the
-        // interleaving unobservable); with one worker `par_map_mut` runs
-        // inline and this becomes the epoch loop minus the threads.
-        let workers = (self.cfg.sim_threads as usize).min(
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1),
-        );
+        let budget = self.cfg.max_instructions;
         let n = self.cores.len();
+        let workers = epoch_workers(self.cfg.sim_threads, n, || {
+            std::thread::available_parallelism().map_or(1, |p| p.get())
+        });
         let mut states: Vec<ParCore> = (0..n).map(|_| ParCore::new()).collect();
+        // The epoch boundary the loop last committed.
+        let mut boundary = 0;
         loop {
             let mut t0 = u64::MAX;
             let mut any_alive = false;
@@ -665,6 +557,12 @@ impl Simulator {
             }
             if t0 == u64::MAX {
                 return Err((self.deadlock_error(), end));
+            }
+            // A boundary past the cycle limit is one the dense loop never
+            // reaches: it stops on the limit first.
+            if boundary <= limit && self.instructions_total() > budget {
+                self.settle_stalls_at(boundary, &states, sink);
+                return Err((SimError::InstrLimit(budget), boundary));
             }
             if t0 > limit {
                 return Err((
@@ -698,7 +596,7 @@ impl Simulator {
             }
             // Atomic serialization: execute pending atomics strictly in
             // global (cycle, core) order against the master memory —
-            // exactly the order the sequential loops execute them in —
+            // exactly the order the dense loop executes them in —
             // resuming each core's private run in between.
             while states.iter().all(|s| s.error.is_none()) {
                 let Some(ci) = (0..n)
@@ -749,8 +647,8 @@ impl Simulator {
                 }
             }
             // Epoch barrier. On a fault the buffered stores are dropped —
-            // the sequential loops stop mid-epoch and partial memory state
-            // is best-effort — but events and printf gathered so far flush.
+            // the dense loop stops mid-epoch and partial memory state is
+            // best-effort — but events and printf gathered so far flush.
             let fault = states
                 .iter()
                 .enumerate()
@@ -773,12 +671,47 @@ impl Simulator {
             }
             self.memsys.advance_to(t_end);
             merge_epoch(&mut states, printf_output, sink);
+            boundary = t_end;
+        }
+    }
+
+    /// Bring every live core's stall accounting to exactly `boundary`,
+    /// where the dense loop stands when the instruction budget trips.
+    /// `micro_run` charges a stall span in full when it opens and charges
+    /// nothing for a core parked at a barrier for good; the dense loop
+    /// charges both cycle by cycle.
+    fn settle_stalls_at<S: TraceSink>(&mut self, boundary: u64, states: &[ParCore], sink: &mut S) {
+        let span_end = self.cfg.max_cycles.saturating_add(1);
+        for (core, st) in self.cores.iter_mut().zip(states) {
+            if !core.any_active() || st.next_tick <= boundary {
+                continue;
+            }
+            if st.next_tick == u64::MAX {
+                core.fast_forward_stalls(st.end, boundary, &self.program, sink);
+            } else {
+                core.retract_stalls(boundary, st.next_tick.min(span_end), &self.program);
+            }
         }
     }
 }
 
-/// Per-core scratch state for the parallel epoch loop, persistent across
-/// epochs within one launch.
+/// Worker threads for one launch's epoch loop: `sim_threads`, clamped to
+/// the core count and to the host's parallelism (more workers than host
+/// cores only add context switches to a CPU-bound lockstep loop). `host`
+/// is consulted only when more than one worker is asked for: on Linux
+/// `available_parallelism` reads cgroup files, a per-launch cost the
+/// default one-thread run must not pay. Results never depend on the count.
+fn epoch_workers(sim_threads: u32, cores: usize, host: impl FnOnce() -> usize) -> usize {
+    let asked = (sim_threads as usize).min(cores);
+    if asked <= 1 {
+        1
+    } else {
+        asked.min(host())
+    }
+}
+
+/// Per-core scratch state for the epoch loop, persistent across epochs
+/// within one launch.
 struct ParCore {
     /// Buffered plain stores for the current epoch (addr → last value).
     wbuf: WriteBuf,
@@ -820,11 +753,11 @@ struct Work<'a> {
     st: &'a mut ParCore,
 }
 
-/// Per-core event buffering for the parallel loop: events are tagged with
+/// Per-core event buffering for the epoch loop: events are tagged with
 /// the emitting tick's cycle so the epoch-end merge can interleave the
-/// cores' buffers in the sequential loops' (cycle, core) emission order.
+/// cores' buffers in the dense loop's (cycle, core) emission order.
 /// When the run's sink is a [`NopSink`] the push compiles out entirely
-/// (`IS_NOP` propagates), keeping the untraced parallel path buffer-free.
+/// (`IS_NOP` propagates), keeping the untraced path buffer-free.
 struct TaggedSink<'a, S: TraceSink> {
     buf: &'a mut Vec<(u64, TraceEvent)>,
     now: u64,
@@ -854,8 +787,18 @@ fn tagged<S: TraceSink>(buf: &mut Vec<(u64, TraceEvent)>, now: u64) -> TaggedSin
 /// epoch state: the shared functional-memory snapshot (reads go through
 /// the core's own write-buffer) and the core's private [`MemView`]. Stops
 /// at the epoch end, at a pending atomic (serialized by the caller in
-/// global cycle order), when the core halts or parks, or on error. This is
-/// exactly one core's slice of `run_events`.
+/// global cycle order), when the core halts or parks, or on error.
+///
+/// The loop is event-driven: the clock jumps from a tick that issued
+/// nothing straight to the core's next event. That is exact because a
+/// core that fails to issue at cycle `c` cannot issue before
+/// [`Core::next_issue_cycle`] — scoreboard ready-times, MSHR free-times
+/// and barrier membership are core-local facts that only one of the
+/// core's *own* issues can change. Other cores interact only through the
+/// shared L2/DRAM/memory at execute time, which affects the latency of
+/// *future* issues, not whether this core can issue. The skipped cycles
+/// are bulk-accounted by [`Core::fast_forward_stalls`] with the dense
+/// loop's per-cycle classification.
 fn micro_run<S: TraceSink>(
     core: &mut Core,
     view: &mut MemView,
@@ -928,7 +871,7 @@ fn micro_run<S: TraceSink>(
 }
 
 /// Interleave the cores' buffered trace events and printf lines into the
-/// sequential loops' global emission order: ascending tick cycle, cores in
+/// dense loop's global emission order: ascending tick cycle, cores in
 /// index order within a cycle (a stable sort on the cycle tag over
 /// core-ordered buffers yields both).
 fn merge_epoch<S: TraceSink>(
@@ -1016,9 +959,11 @@ mod tests {
         assert!(fault.partial.stats.instructions > 0);
     }
 
-    /// The instruction budget trips at the identical instruction in both
-    /// scheduler modes: issues happen in the identical order, and the
-    /// error payload carries the budget, not a mode-dependent cycle.
+    /// The instruction budget trips at the first epoch boundary past it,
+    /// identically in both scheduler modes: same error, same cycle, same
+    /// partial statistics. One core issuing one `jal` per cycle crosses
+    /// 100 instructions inside the first 2048-cycle epoch, so both loops
+    /// stop at cycle 2048 having run every issue before it.
     #[test]
     fn instruction_budget_trips_identically_in_both_modes() {
         let p = Program {
@@ -1031,15 +976,84 @@ mod tests {
         let mut fast = Simulator::new(cfg.clone(), p.clone());
         let fast_fault = fast.run().unwrap_err();
         cfg.reference_mode = true;
-        let mut dense = Simulator::new(cfg, p);
+        let mut dense = Simulator::new(cfg.clone(), p);
         let dense_fault = dense.run().unwrap_err();
         assert_eq!(fast_fault.error, SimError::InstrLimit(100));
         assert_eq!(fast_fault.error, dense_fault.error);
-        assert_eq!(
-            fast_fault.partial.stats.instructions,
-            dense_fault.partial.stats.instructions
+        assert_eq!(fast_fault.partial.stats, dense_fault.partial.stats);
+        assert_eq!(fast_fault.partial.stats.cycles, cfg.epoch_cycles);
+        let issued = fast_fault.partial.stats.instructions;
+        assert!(
+            issued > 100 && issued <= cfg.epoch_cycles,
+            "overshoot is bounded by one epoch of issues, got {issued}"
         );
-        assert_eq!(fast_fault.partial.stats.instructions, 101);
+    }
+
+    /// A budget trip while one core is parked at a barrier for good: the
+    /// dense loop charges that core a barrier stall every cycle up to the
+    /// boundary, and the epoch loop (which stopped ticking it) must settle
+    /// the same count. Core 0's lone warp waits on a two-warp barrier while
+    /// core 1 spins.
+    #[test]
+    fn budget_trip_settles_a_parked_core_like_the_dense_loop() {
+        let p = Program {
+            instrs: vec![
+                Instr::CsrRead {
+                    rd: abi::T0,
+                    csr: Csr::CoreId,
+                },
+                Instr::Branch {
+                    cond: vortex_isa::BranchCond::Ne,
+                    rs1: abi::T0,
+                    rs2: abi::ZERO,
+                    offset: 3,
+                },
+                Instr::OpImm {
+                    op: AluOp::Add,
+                    rd: abi::T1,
+                    rs1: abi::ZERO,
+                    imm: 2,
+                },
+                Instr::Bar {
+                    rs1: abi::ZERO,
+                    rs2: abi::T1,
+                },
+                Instr::Jal { rd: 0, offset: 0 },
+            ],
+            printf_table: vec![],
+            entry: 0,
+        };
+        let mut cfg = SimConfig::new(VortexConfig::new(2, 2, 2));
+        cfg.max_instructions = 1000;
+        cfg.epoch_cycles = 256;
+        cfg.reference_mode = true;
+        let dense = Simulator::new(cfg.clone(), p.clone()).run().unwrap_err();
+        assert_eq!(dense.error, SimError::InstrLimit(1000));
+        assert!(dense.partial.stats.cycles.is_multiple_of(256));
+        assert!(dense.partial.stats.stall_barrier > 1000);
+        cfg.reference_mode = false;
+        for threads in [1, 2] {
+            cfg.sim_threads = threads;
+            let fast = Simulator::new(cfg.clone(), p.clone()).run().unwrap_err();
+            assert_eq!(fast.error, dense.error);
+            assert_eq!(fast.partial.stats, dense.partial.stats, "{threads} threads");
+        }
+    }
+
+    /// A kernel that finishes inside the epoch in which it crosses the
+    /// budget completes normally in both modes: the budget is only checked
+    /// at a boundary, and the kernel never reaches one.
+    #[test]
+    fn budget_crossed_inside_the_last_epoch_does_not_trip() {
+        let mut cfg = SimConfig::new(VortexConfig::new(1, 2, 4));
+        cfg.max_instructions = 1;
+        for reference_mode in [false, true] {
+            cfg.reference_mode = reference_mode;
+            let mut sim = Simulator::new(cfg.clone(), store42());
+            let r = sim.run().unwrap();
+            assert!(r.stats.instructions > 1);
+            assert!(r.stats.cycles < cfg.epoch_cycles);
+        }
     }
 
     /// WSPAWN fan-out + BAR rendezvous: both schedulers must agree on every
@@ -1370,31 +1384,20 @@ mod tests {
         assert!(fast.trace_cache_built(), "default loop decodes into it");
     }
 
-    /// Zero-overhead guard, threading side: runs that cannot benefit from
-    /// the epoch machinery — one worker thread, or a single core — take
-    /// the sequential fast path (no epoch loop, no thread spawns), and a
-    /// genuinely parallel configuration actually engages it.
+    /// Zero-overhead guard, threading side: a one-thread launch — the
+    /// default — runs the epoch loop with one inline worker and never asks
+    /// the host for its parallelism (a cgroup read on Linux). Only a launch
+    /// that could use several workers does, and the pool is clamped to the
+    /// cores and to the host. (`par_map_mut` running one worker inline,
+    /// with no thread spawned, is pinned in `repro-util`.)
     #[test]
-    fn one_thread_runs_take_the_sequential_fast_path() {
-        // Default sim_threads = 1 on a multi-core machine: sequential.
-        let cfg = SimConfig::new(VortexConfig::new(2, 2, 4));
-        assert_eq!(cfg.sim_threads, 1);
-        let mut sim = Simulator::new(cfg, store42());
-        sim.run().unwrap();
-        assert!(!sim.last_run_parallel());
-
-        // Many threads but one core: nothing to run in parallel.
-        let mut cfg = SimConfig::new(VortexConfig::new(1, 2, 4));
-        cfg.sim_threads = 4;
-        let mut sim = Simulator::new(cfg, store42());
-        sim.run().unwrap();
-        assert!(!sim.last_run_parallel());
-
-        // Multi-thread × multi-core: the epoch loop engages.
-        let mut cfg = SimConfig::new(VortexConfig::new(2, 2, 4));
-        cfg.sim_threads = 2;
-        let mut sim = Simulator::new(cfg, store42());
-        sim.run().unwrap();
-        assert!(sim.last_run_parallel());
+    fn one_thread_runs_never_consult_the_host() {
+        let no_host = || -> usize { panic!("a one-worker run consulted the host") };
+        assert_eq!(epoch_workers(1, 4, no_host), 1);
+        assert_eq!(epoch_workers(0, 4, no_host), 1);
+        assert_eq!(epoch_workers(8, 1, no_host), 1, "one core, one worker");
+        assert_eq!(epoch_workers(4, 4, || 2), 2, "clamped to the host");
+        assert_eq!(epoch_workers(8, 4, || 16), 4, "clamped to the cores");
+        assert_eq!(SimConfig::new(VortexConfig::new(2, 2, 4)).sim_threads, 1);
     }
 }

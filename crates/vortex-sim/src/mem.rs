@@ -90,7 +90,7 @@ impl SimMemory {
     }
 
     /// Validate a word store (alignment + bounds) without performing it.
-    /// The parallel run loop's write-buffer uses this so a buffered store
+    /// The epoch run loop's write-buffer uses this so a buffered store
     /// raises the identical error at the identical point as a direct one.
     pub fn check_store(&self, core: u32, addr: u32) -> Result<(), SimError> {
         Self::check_aligned(addr)?;
@@ -136,8 +136,8 @@ impl SimMemory {
 }
 
 /// Functional memory as the execute stage sees it. [`SimMemory`] is the
-/// direct implementation used by the sequential run loops; the parallel
-/// loop substitutes a per-core read-through write-buffer
+/// direct implementation used by the dense run loop; the epoch loop
+/// substitutes a per-core read-through write-buffer
 /// ([`crate::memsys::ShardedMem`]) so cores can run an epoch concurrently
 /// against a shared immutable snapshot.
 pub trait DeviceMem {

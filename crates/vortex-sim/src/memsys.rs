@@ -2,7 +2,7 @@
 //!
 //! Cores interact only through the shared L2 / DRAM timing models and
 //! functional memory. To let cores simulate concurrently *and* bit-identically
-//! to the sequential loops, the shared timing state is quantized into fixed
+//! to the dense reference loop, the shared timing state is quantized into fixed
 //! cycle epochs (`SimConfig::epoch_cycles`): within an epoch every core runs
 //! against its own [`MemView`] — a private clone of the L2/DRAM state frozen
 //! at the epoch boundary — and logs each access it makes. At the boundary the
@@ -10,11 +10,11 @@
 //! recomputed outcomes are discarded; the outcomes each core *observed*
 //! stand), and the views are re-cloned from the refreshed master.
 //!
-//! Crucially, **all run loops share these semantics**: the dense reference
-//! loop and the sequential event loop call [`MemSystem::advance_to`] as the
-//! clock passes each boundary, so they see exactly the epoch-frozen timing
-//! the parallel loop sees. That makes "parallel ≡ sequential" a theorem
-//! rather than a schedule accident: within an epoch a core's evolution
+//! Crucially, **both run loops share these semantics**: the dense reference
+//! loop calls [`MemSystem::advance_to`] as the clock passes each boundary,
+//! so it sees exactly the epoch-frozen timing the epoch loop sees. That
+//! makes "epoch loop ≡ dense loop" a theorem rather than a schedule
+//! accident: within an epoch a core's evolution
 //! depends only on its own state and its frozen view, so the worker
 //! interleaving cannot be observed.
 //!
@@ -153,7 +153,7 @@ impl MemSystem {
         &mut self.views[core]
     }
 
-    /// All views at once, for the parallel loop's per-core fan-out.
+    /// All views at once, for the epoch loop's per-core fan-out.
     pub fn views_mut(&mut self) -> &mut [MemView] {
         &mut self.views
     }
@@ -258,11 +258,11 @@ impl MemSystem {
 ///
 /// Cross-core *plain* loads/stores to the same address within a launch are
 /// a data race under the SIMT model (barriers are core-local; cross-core
-/// synchronization is only defined through atomics, which the parallel
-/// loop serializes in cycle order against the master memory), so a racy
+/// synchronization is only defined through atomics, which the epoch loop
+/// serializes in cycle order against the master memory), so a racy
 /// program may observe different — but still deterministic — values here
-/// than under the sequential loops. Race-free programs observe identical
-/// memory in all modes.
+/// than under the dense loop. Race-free programs observe identical memory
+/// in both loops, at any worker count.
 pub struct ShardedMem<'a> {
     pub master: &'a SimMemory,
     pub wbuf: &'a mut WriteBuf,
@@ -289,7 +289,7 @@ impl DeviceMem for ShardedMem<'_> {
 /// range of everything ever buffered this epoch kept alongside. Kernels
 /// overwhelmingly load from streams they never store to (think vecadd's
 /// `a`/`b` arrays vs its `c`), so the range check turns the per-lane-load
-/// hash probe of the parallel loop into two compares for every address
+/// hash probe of the epoch loop into two compares for every address
 /// outside the written span. The range is conservative (never shrinks on
 /// remove) — a false positive only costs the hash probe it replaced.
 #[derive(Debug)]

@@ -82,11 +82,21 @@ impl CoreStats {
     /// both the dense tick and the fast-forward bulk accounting go through,
     /// so the two loops cannot classify differently.
     pub(crate) fn stall(&mut self, kind: StallKind, cycles: u64) {
+        *self.stall_counter(kind) += cycles;
+    }
+
+    /// Take back `cycles` stall cycles charged earlier: the budget trip's
+    /// correction of a stall span charged past the epoch boundary.
+    pub(crate) fn unstall(&mut self, kind: StallKind, cycles: u64) {
+        *self.stall_counter(kind) -= cycles;
+    }
+
+    fn stall_counter(&mut self, kind: StallKind) -> &mut u64 {
         match kind {
-            StallKind::Scoreboard => self.stall_scoreboard += cycles,
-            StallKind::LsuFull => self.stall_lsu += cycles,
-            StallKind::Barrier => self.stall_barrier += cycles,
-            StallKind::Idle => self.stall_idle += cycles,
+            StallKind::Scoreboard => &mut self.stall_scoreboard,
+            StallKind::LsuFull => &mut self.stall_lsu,
+            StallKind::Barrier => &mut self.stall_barrier,
+            StallKind::Idle => &mut self.stall_idle,
         }
     }
 }

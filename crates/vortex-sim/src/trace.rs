@@ -10,7 +10,7 @@
 //! observable (cycles, stall breakdown, memory, printf output).
 //!
 //! Stalls are recorded as half-open spans `[from, to)`. The dense reference
-//! loop emits one-cycle spans; the event-driven loop emits the failed tick's
+//! loop emits one-cycle spans; the epoch loop emits the failed tick's
 //! one-cycle span followed by the bulk span its fast-forward skips. After
 //! merging adjacent same-kind spans ([`canonical_core_events`]) the two
 //! loops describe the same execution, which the trace tests assert.
@@ -125,7 +125,7 @@ impl TraceEvent {
 /// the simulator's behavior is independent of what (if anything) a sink
 /// does with the events.
 pub trait TraceSink {
-    /// True only for [`NopSink`]. The parallel run loop branches on this
+    /// True only for [`NopSink`]. The epoch run loop branches on this
     /// constant to skip per-core event buffering and the epoch-end merge
     /// entirely; because it is an associated `const`, monomorphization
     /// removes the buffering branch from untraced builds just like the
@@ -163,7 +163,7 @@ impl TraceSink for RecordingSink {
 
 /// One core's events in canonical form: filtered to `core` and with
 /// adjacent same-kind stall spans merged. The dense loop (one-cycle spans)
-/// and the event-driven loop (bulk fast-forward spans) both canonicalize to
+/// and the epoch loop (bulk fast-forward spans) both canonicalize to
 /// the same sequence for the same execution.
 pub fn canonical_core_events(events: &[TraceEvent], core: u32) -> Vec<TraceEvent> {
     let mut out: Vec<TraceEvent> = Vec::new();

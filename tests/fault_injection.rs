@@ -10,7 +10,7 @@
 //! * **Loop-independent classification.** An injected memory bit flip must
 //!   classify *identically* (same error, same message) whether the
 //!   simulator runs its dense cycle-by-cycle reference loop or the
-//!   event-driven fast-forward loop — the flip lands at the launch
+//!   event-driven epoch loop — the flip lands at the launch
 //!   boundary, outside either loop.
 //! * **Serve-level healing.** The hardened `serve_lines` retry loop turns
 //!   a transient injected worker panic into a clean outcome, and the

@@ -11,8 +11,8 @@
 
 use fpga_gpu_repro::arch::VortexConfig;
 use fpga_gpu_repro::ir::interp::{run_ndrange, KernelArg, Limits, Memory, NdRange};
-use fpga_gpu_repro::vrt::{Arg, VxSession};
-use fpga_gpu_repro::vsim::SimConfig;
+use fpga_gpu_repro::vrt::{Arg, RtError, VxSession};
+use fpga_gpu_repro::vsim::{SimConfig, SimError};
 use repro_util::Rng;
 
 /// A random integer expression over `i` (the gid), `v` (a loaded value) and
@@ -326,14 +326,18 @@ fn all_levels_match_on_both_backends() {
 /// Random kernels — plain, `__local`+barrier, and atomic-RMW — produce
 /// bit-identical cycles, statistics, and output memory under every run
 /// loop and thread count: the dense reference loop is the oracle, and the
-/// event-driven loop at 1/2/4 sim threads (sequential fast path, then the
-/// parallel epoch loop on a 2-core machine) must match it exactly, at two
-/// optimization levels. This is the determinism claim of the epoch design
-/// under fuzzing pressure rather than hand-picked benchmarks.
+/// epoch loop at 1/2/4 sim threads (inline, then real workers on a 2-core
+/// machine) must match it exactly, at two optimization levels. Each case
+/// runs again with an instruction budget of half its work and 64-cycle
+/// epochs, so the budget trips: both loops must stop with the same error
+/// at the same epoch boundary, with identical partial statistics and
+/// memory. This is the determinism claim of the epoch design under
+/// fuzzing pressure rather than hand-picked benchmarks.
 #[test]
 fn run_loops_agree_on_random_kernels_across_threads() {
     use ocl_ir::passes::OptLevel;
     let mut r = Rng::new(0xD1FF_0007);
+    let mut trips = 0;
     for case in 0..CASES / 2 {
         let src = match case % 3 {
             0 => arb_kernel(&mut r),
@@ -346,36 +350,56 @@ fn run_loops_agree_on_random_kernels_across_threads() {
         let input = case_input(n, seed);
         let init_out: Vec<i32> = (0..n as i32).map(|i| (i * 37) % 53 - 26).collect();
         for level in [OptLevel::None, OptLevel::VariableReuse] {
-            let run = |reference: bool, threads: u32| -> (Vec<i32>, vortex_sim::SimStats) {
+            type Outcome = (Vec<i32>, vortex_sim::SimStats, Option<SimError>);
+            let run = |reference: bool, threads: u32, budget: Option<u64>| -> Outcome {
                 let mut cfg = SimConfig::new(VortexConfig::new(2, 2, 4));
                 cfg.reference_mode = reference;
                 cfg.sim_threads = threads;
+                if let Some(budget) = budget {
+                    cfg.max_instructions = budget;
+                    cfg.epoch_cycles = 64;
+                }
                 let compiled = fpga_gpu_repro::vrt::compile_for_at(&src, "fuzz", &cfg, level)
                     .unwrap_or_else(|e| panic!("case {case}: codegen at {level:?}: {e}\n{src}"));
                 let mut sess = VxSession::new(cfg, compiled);
                 let da = sess.alloc_i32(&input).unwrap();
                 let dout = sess.alloc_i32(&init_out).unwrap();
-                let res = sess
-                    .launch(&[Arg::Buf(da), Arg::Buf(dout), Arg::I32(n as i32)], &nd)
-                    .unwrap_or_else(|e| {
-                        panic!("case {case}: launch ref={reference} thr={threads}: {e}\n{src}")
-                    });
-                (sess.read_i32(dout, init_out.len()).unwrap(), res.stats)
+                let (stats, error) =
+                    match sess.launch(&[Arg::Buf(da), Arg::Buf(dout), Arg::I32(n as i32)], &nd) {
+                        Ok(res) => (res.stats, None),
+                        Err(RtError::Fault(f)) if budget.is_some() => {
+                            (f.partial.stats, Some(f.error))
+                        }
+                        Err(e) => panic!(
+                            "case {case}: launch ref={reference} thr={threads} budget={budget:?}: {e}\n{src}"
+                        ),
+                    };
+                (sess.read_i32(dout, init_out.len()).unwrap(), stats, error)
             };
-            let (want_mem, want_stats) = run(true, 1);
+            let want = run(true, 1, None);
+            let budget = want.1.instructions / 2;
+            let want_budgeted = run(true, 1, Some(budget));
+            if want_budgeted.2.is_some() {
+                assert_eq!(want_budgeted.2, Some(SimError::InstrLimit(budget)));
+                trips += 1;
+            }
             for threads in [1u32, 2, 4] {
-                let (got_mem, got_stats) = run(false, threads);
-                assert_eq!(
-                    got_stats, want_stats,
-                    "case {case} at {level:?}, {threads} sim threads: stats\n{src}"
-                );
-                assert_eq!(
-                    got_mem, want_mem,
-                    "case {case} at {level:?}, {threads} sim threads: memory\n{src}"
-                );
+                for (budget, want) in [(None, &want), (Some(budget), &want_budgeted)] {
+                    let got = run(false, threads, budget);
+                    let what = format!(
+                        "case {case} at {level:?}, {threads} sim threads, budget {budget:?}"
+                    );
+                    assert_eq!(got.2, want.2, "{what}: error\n{src}");
+                    assert_eq!(got.1, want.1, "{what}: stats\n{src}");
+                    assert_eq!(got.0, want.0, "{what}: memory\n{src}");
+                }
             }
         }
     }
+    assert!(
+        trips > 0,
+        "no budgeted case tripped: the budget path went untested"
+    );
 }
 
 /// Mutate a valid kernel source into likely-malformed text: truncate it,
