@@ -382,20 +382,27 @@ impl Cache {
     // -- the engine ---------------------------------------------------------
 
     /// Look up `key`, or run `compute`, canonicalize and store the result.
-    ///
-    /// Both paths return a value decoded from the same canonical bytes: a
-    /// hit decodes the stored bytes, and a miss encodes the fresh artifact
-    /// and decodes it right back. Cached-vs-fresh equivalence is therefore a
-    /// property of the wire round trip, which the differential suite pins.
+    /// The whole lookup is one span under its stage name: a hit closes it
+    /// immediately, a miss nests the compile-stage spans beneath it.
     fn get_or_compute<T: Wire>(
         &self,
         key: Key,
         compute: impl FnOnce() -> Result<T, ReproError>,
     ) -> Result<T, ReproError> {
-        // Span the whole lookup under its stage name: a hit closes the
-        // span immediately, a miss nests the compile-stage spans (which
-        // arrive via the metrics::time hook) beneath it.
-        let _span = repro_obs::SpanScope::enter(key.stage.span_name());
+        metrics::span(key.stage.span_name(), || self.lookup(key, compute))
+    }
+
+    /// The body of [`get_or_compute`](Cache::get_or_compute).
+    ///
+    /// Both paths return a value decoded from the same canonical bytes: a
+    /// hit decodes the stored bytes, and a miss encodes the fresh artifact
+    /// and decodes it right back. Cached-vs-fresh equivalence is therefore a
+    /// property of the wire round trip, which the differential suite pins.
+    fn lookup<T: Wire>(
+        &self,
+        key: Key,
+        compute: impl FnOnce() -> Result<T, ReproError>,
+    ) -> Result<T, ReproError> {
         // Memory tier.
         let cached = self.mem.lock().unwrap().lru.get(&key).cloned();
         if let Some(bytes) = cached {

@@ -28,6 +28,7 @@ use ocl_ir::passes::OptLevel;
 use repro_cache::{Cache, CacheConfig};
 use repro_fault::{clear, install, report, FaultPlan, FaultPoint};
 use repro_sched::{ExecConfig, Executor};
+use repro_util::fnv::fnv1a;
 use repro_util::{Json, ToJson};
 
 use crate::serve::{serve_lines, ServeOptions, ServeSummary};
@@ -77,15 +78,6 @@ impl ScenarioReport {
     pub fn passed(&self) -> bool {
         self.deterministic && self.violations.is_empty()
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
 }
 
 /// Strip the fields that legitimately vary between runs (wall times,

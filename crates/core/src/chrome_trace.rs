@@ -14,7 +14,7 @@
 //! Events are sorted by `(pid, tid, ts)`, making per-track timestamps
 //! monotone — a property the trace-invariant tests pin down.
 
-use repro_util::Json;
+use repro_util::{metrics, Json};
 use vortex_sim::{CacheLevel, TraceEvent};
 
 /// First auxiliary (non-warp) track id. Warp counts are tiny, so any tid at
@@ -329,7 +329,7 @@ pub fn chrome_trace_serve(log: &str) -> Result<Json, String> {
         let Some(spans) = j.get("spans") else {
             continue;
         };
-        let tree = repro_obs::parse_span(spans)
+        let tree = metrics::parse_span(spans)
             .ok_or_else(|| format!("line {}: malformed span tree", lineno + 1))?;
         let trace_id = j.get("trace_id").and_then(Json::as_str).unwrap_or("");
         let label = j.get("label").and_then(Json::as_str).unwrap_or("");
@@ -373,7 +373,7 @@ pub fn chrome_trace_serve(log: &str) -> Result<Json, String> {
 
 fn serve_span_rows(
     rows: &mut Vec<Row>,
-    node: &repro_obs::SpanNode,
+    node: &metrics::SpanNode,
     worker: u64,
     trace_id: &str,
     label: &str,

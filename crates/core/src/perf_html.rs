@@ -159,18 +159,18 @@ pub fn render_perf_html(r: &PerfReport, cmp: Option<&Comparison>) -> String {
     // Per-stage time breakdown (single series: no legend, title names it).
     b.push_str("<h2>Pipeline stage time (total ms)</h2>\n");
     let mut stages: Vec<_> = r.stages.iter().collect();
-    stages.sort_by(|a, b| {
-        b.total_secs
-            .partial_cmp(&a.total_secs)
+    stages.sort_by(|(_, a), (_, b)| {
+        b.total
+            .partial_cmp(&a.total)
             .unwrap_or(std::cmp::Ordering::Equal)
     });
     let stage_rows: Vec<(String, f64, String)> = stages
         .iter()
-        .map(|st| {
+        .map(|(name, st)| {
             (
-                st.name.clone(),
-                st.total_secs,
-                format!("{} ms ({}x)", ms(st.total_secs), st.count),
+                name.clone(),
+                st.total,
+                format!("{} ms ({}x)", ms(st.total), st.count),
             )
         })
         .collect();
@@ -180,16 +180,16 @@ pub fn render_perf_html(r: &PerfReport, cmp: Option<&Comparison>) -> String {
         "<table><tr><th>stage</th><th class=\"num\">count</th><th class=\"num\">total ms</th>\
          <th class=\"num\">p50 ms</th><th class=\"num\">p95 ms</th><th class=\"num\">max ms</th></tr>\n",
     );
-    for st in &stages {
+    for (name, st) in &stages {
         b.push_str(&format!(
             "<tr><td>{}</td><td class=\"num\">{}</td><td class=\"num\">{}</td>\
              <td class=\"num\">{}</td><td class=\"num\">{}</td><td class=\"num\">{}</td></tr>\n",
-            esc(&st.name),
+            esc(name),
             st.count,
-            ms(st.total_secs),
-            ms(st.p50_secs),
-            ms(st.p95_secs),
-            ms(st.max_secs)
+            ms(st.total),
+            ms(st.p50),
+            ms(st.p95),
+            ms(st.max)
         ));
     }
     b.push_str("</table></details>\n");
@@ -332,7 +332,8 @@ pub fn render_perf_html(r: &PerfReport, cmp: Option<&Comparison>) -> String {
 mod tests {
     use super::*;
     use crate::check::{CheckRow, FlowCheck, FlowStats};
-    use crate::perf_report::{GridCell, PerfReport, StagePerf};
+    use crate::perf_report::{GridCell, PerfReport};
+    use repro_util::metrics::HistogramSummary;
 
     #[test]
     fn html_is_self_contained_and_escapes() {
@@ -354,14 +355,16 @@ mod tests {
                     wall_secs: 0.02,
                 },
             }],
-            stages: vec![StagePerf {
-                name: "frontend.parse".to_string(),
-                count: 2,
-                total_secs: 0.004,
-                p50_secs: 0.002,
-                p95_secs: 0.003,
-                max_secs: 0.003,
-            }],
+            stages: vec![(
+                "frontend.parse".to_string(),
+                HistogramSummary {
+                    count: 2,
+                    total: 0.004,
+                    p50: 0.002,
+                    p95: 0.003,
+                    max: 0.003,
+                },
+            )],
             grid: vec![GridCell {
                 benchmark: "Vecadd".to_string(),
                 cores: 4,

@@ -25,7 +25,8 @@ use fpga_arch::VortexConfig;
 use ocl_ir::passes::OptLevel;
 use ocl_suite::{benchmark, Scale};
 use repro_sched::{ExecConfig, Executor, Flow, JobRequest};
-use repro_util::{metrics, Json, ToJson};
+use repro_util::metrics::{self, HistogramSummary};
+use repro_util::{Json, ToJson};
 
 /// Default regression threshold: a tracked metric regresses when
 /// `current > baseline * (1 + threshold)`.
@@ -56,23 +57,13 @@ impl GridCell {
     }
 }
 
-/// One histogram series from the metrics registry, flattened for rendering.
-#[derive(Debug, Clone)]
-pub struct StagePerf {
-    pub name: String,
-    pub count: u64,
-    pub total_secs: f64,
-    pub p50_secs: f64,
-    pub p95_secs: f64,
-    pub max_secs: f64,
-}
-
 /// Everything `repro perf-report` measures in one run.
 #[derive(Debug)]
 pub struct PerfReport {
     /// Fail-soft both-flow sweep (at `Scale::Test`).
     pub rows: Vec<CheckRow>,
-    pub stages: Vec<StagePerf>,
+    /// The registry's histogram series, sorted by name.
+    pub stages: Vec<(String, HistogramSummary)>,
     pub grid: Vec<GridCell>,
     /// Scale the grid ran at (`"test"` / `"paper"`) — `BENCH_sim.json`
     /// baselines are only comparable at the same scale.
@@ -191,21 +182,9 @@ pub fn collect_perf(opts: &PerfOptions) -> PerfReport {
     }
     let snap = metrics::snapshot();
     metrics::disable();
-    let stages = snap
-        .histograms
-        .iter()
-        .map(|(name, h)| StagePerf {
-            name: name.clone(),
-            count: h.count,
-            total_secs: h.total,
-            p50_secs: h.p50,
-            p95_secs: h.p95,
-            max_secs: h.max,
-        })
-        .collect();
     PerfReport {
         rows,
-        stages,
+        stages: snap.histograms,
         grid,
         grid_scale: match opts.grid_scale {
             Scale::Test => "test",
@@ -440,15 +419,15 @@ fn compare_to_manifest(report: &PerfReport, baseline: &Json, threshold: f64) -> 
             .get("metrics")
             .and_then(metrics::snapshot_from_json)
         {
-            for stage in &report.stages {
-                let Some(base) = base_snap.histogram(&stage.name) else {
+            for (name, stage) in &report.stages {
+                let Some(base) = base_snap.histogram(name) else {
                     continue;
                 };
                 if base.total >= WALL_NOISE_FLOOR_SECS {
                     deltas.push(MetricDelta {
-                        metric: format!("stage/{}", stage.name),
+                        metric: format!("stage/{name}"),
                         baseline: base.total,
-                        current: stage.total_secs,
+                        current: stage.total,
                         deterministic: false,
                     });
                 }
@@ -629,20 +608,20 @@ pub fn render_perf_markdown(r: &PerfReport, cmp: Option<&Comparison>, timing: bo
         let _ = writeln!(s, "| stage | count |");
         let _ = writeln!(s, "|---|---|");
     }
-    for st in &r.stages {
+    for (name, st) in &r.stages {
         if timing {
             let _ = writeln!(
                 s,
                 "| {} | {} | {} | {} | {} | {} |",
-                st.name,
+                name,
                 st.count,
-                ms(st.total_secs),
-                ms(st.p50_secs),
-                ms(st.p95_secs),
-                ms(st.max_secs)
+                ms(st.total),
+                ms(st.p50),
+                ms(st.p95),
+                ms(st.max)
             );
         } else {
-            let _ = writeln!(s, "| {} | {} |", st.name, st.count);
+            let _ = writeln!(s, "| {} | {} |", name, st.count);
         }
     }
     if !r.grid.is_empty() {
@@ -747,14 +726,14 @@ impl ToJson for PerfReport {
                 Json::Array(
                     self.stages
                         .iter()
-                        .map(|st| {
+                        .map(|(name, st)| {
                             Json::obj(vec![
-                                ("name", st.name.to_json()),
+                                ("name", name.to_json()),
                                 ("count", st.count.to_json()),
-                                ("total_secs", st.total_secs.to_json()),
-                                ("p50_secs", st.p50_secs.to_json()),
-                                ("p95_secs", st.p95_secs.to_json()),
-                                ("max_secs", st.max_secs.to_json()),
+                                ("total_secs", st.total.to_json()),
+                                ("p50_secs", st.p50.to_json()),
+                                ("p95_secs", st.p95.to_json()),
+                                ("max_secs", st.max.to_json()),
                             ])
                         })
                         .collect(),
@@ -815,14 +794,16 @@ mod tests {
     fn synthetic_report() -> PerfReport {
         PerfReport {
             rows: vec![row("Vecadd", 1000, 0.1), row("Transpose", 2000, 0.2)],
-            stages: vec![StagePerf {
-                name: "frontend.parse".to_string(),
-                count: 4,
-                total_secs: 0.04,
-                p50_secs: 0.01,
-                p95_secs: 0.02,
-                max_secs: 0.02,
-            }],
+            stages: vec![(
+                "frontend.parse".to_string(),
+                HistogramSummary {
+                    count: 4,
+                    total: 0.04,
+                    p50: 0.01,
+                    p95: 0.02,
+                    max: 0.02,
+                },
+            )],
             grid: vec![GridCell {
                 benchmark: "Vecadd".to_string(),
                 cores: 4,

@@ -266,7 +266,7 @@ fn inject_line_faults(buf: &mut Vec<u8>) -> Option<usize> {
 /// along under `"window"` for clients that want other series.
 fn write_stats(out: &mut dyn Write, exec: &Executor) -> std::io::Result<()> {
     let w = metrics::window_snapshot();
-    let uptime = repro_obs::uptime_secs();
+    let uptime = metrics::uptime_secs();
     let lat = w.histogram("sched.job_latency").copied();
     let hits = w.counter("cache.hit");
     let lookups = hits + w.counter("cache.miss");
@@ -312,7 +312,7 @@ fn write_health(
     let line = Json::obj(vec![
         ("cmd", "health".to_json()),
         ("ok", Json::Bool(true)),
-        ("uptime_secs", repro_obs::uptime_secs().to_json()),
+        ("uptime_secs", metrics::uptime_secs().to_json()),
         ("workers", (exec.workers() as u64).to_json()),
         ("queue_depth", (exec.queue_depth() as u64).to_json()),
         ("draining", Json::Bool(exec.draining())),
@@ -320,7 +320,7 @@ fn write_health(
             "cache_degraded",
             Json::Bool(repro_cache::global().degraded()),
         ),
-        ("obs_armed", Json::Bool(repro_obs::armed())),
+        ("obs_armed", Json::Bool(metrics::live())),
         ("batches", summary.batches.to_json()),
         ("jobs", summary.jobs.to_json()),
     ]);

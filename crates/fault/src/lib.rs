@@ -27,6 +27,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
+use repro_util::fnv::fnv1a;
 use repro_util::{metrics, Json, Rng, ToJson};
 
 /// Every named place the engine can inject a fault. The discriminant
@@ -238,15 +239,6 @@ struct Engine {
     fired: [u64; N],
 }
 
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 impl Engine {
     fn new(plan: &FaultPlan) -> Engine {
         let mut specs: [Option<PointSpec>; N] = std::array::from_fn(|_| None);
@@ -255,7 +247,9 @@ impl Engine {
         }
         Engine {
             specs,
-            rngs: std::array::from_fn(|i| Rng::new(plan.seed ^ fnv1a(ALL_POINTS[i].name()))),
+            rngs: std::array::from_fn(|i| {
+                Rng::new(plan.seed ^ fnv1a(ALL_POINTS[i].name().as_bytes()))
+            }),
             evaluated: [0; N],
             fired: [0; N],
         }

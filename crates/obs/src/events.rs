@@ -19,7 +19,7 @@ pub struct Event {
     /// Monotonic sequence number (process-wide, never reset) — gaps after
     /// a drop tell the reader exactly how much history is missing.
     pub seq: u64,
-    /// Microseconds since the process [`epoch`](crate::epoch).
+    /// Microseconds since the process epoch ([`repro_util::metrics::now_us`]).
     pub t_us: u64,
     /// Short machine-readable kind: `admit`, `shed`, `retry`, `drain`,
     /// `cache_degraded`, ...
@@ -64,12 +64,13 @@ impl Ring {
     }
 }
 
-/// Record one service event. One relaxed atomic load while disarmed.
+/// Record one service event at the Live level. One relaxed atomic load
+/// below it.
 pub fn event(kind: &str, detail: &str) {
-    if !crate::armed() {
+    if !repro_util::metrics::live() {
         return;
     }
-    let t_us = crate::now_us();
+    let t_us = repro_util::metrics::now_us();
     let mut ring = crate::ring().lock().unwrap_or_else(|e| e.into_inner());
     ring.push(kind, detail, t_us);
 }

@@ -1,27 +1,24 @@
-//! `repro-obs` — host-time observability for the long-running service.
+//! `repro-obs` — the service half of host-time observability.
 //!
-//! The PR 2 tracer sees *simulated* cycles and the PR 5 metrics registry
-//! yields one cumulative snapshot at manifest-write time; neither can tell
-//! an operator what one request did, or what the service is doing *right
-//! now*. This crate adds the missing host-time layer:
+//! The instrumentation core — the level gate, the clock, the histograms,
+//! the 5-minute windows and the per-job span trees — lives in
+//! [`repro_util::metrics`]. This crate adds what only a long-running
+//! service needs on top of it:
 //!
-//! * **Correlated spans** ([`span`], [`SpanScope`], [`SpanNode`]) — a
-//!   per-job tree of nested wall-clock spans (queue wait, cache lookups,
-//!   compile stages, launch), recorded on the worker thread that executes
-//!   the job and attached to its outcome under a deterministic
-//!   [`trace_id`]. The executor brackets each job with [`begin_job`] /
-//!   [`end_job`]; everything recorded between the two on that thread lands
-//!   in the tree.
+//! * **Trace ids** ([`trace_id`]) — a deterministic correlation id per
+//!   job, under which the executor attaches the job's span tree to its
+//!   outcome.
 //! * **Structured events** ([`event`], [`drain_events`]) — a bounded ring
 //!   of service-level happenings (admissions, sheds, retries, drains,
 //!   cache degradations) that `repro serve` flushes on
 //!   `{"cmd":"events"}`.
+//! * **Arming** ([`arm`], [`disarm`]) — the service entry point's switch
+//!   to the Live level, where span trees, windows and events record.
 //!
-//! Mirroring the metrics registry and fault engine, everything here is
-//! **off by default and observably free while off**: every recording entry
-//! point checks one relaxed atomic load ([`armed`]) and returns before
-//! touching a clock, a lock, thread-local state, or an allocation. Batch
-//! commands never arm it; `repro serve` does.
+//! Everything here is **off by default and observably free while off**:
+//! [`event`] checks one relaxed load of the level and returns before
+//! touching a clock, a lock, or an allocation. Batch commands never arm;
+//! `repro serve` does.
 //!
 //! Determinism: span *structure* (names, nesting, child order) is a pure
 //! function of what the job executed, never of which worker ran it or how
@@ -29,69 +26,26 @@
 //! `trace_id` is a pure hash of the request's canonical wire form and its
 //! batch position, so reruns of the same plan yield the same ids.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
+use repro_util::fnv::fnv1a;
+use repro_util::metrics;
 use repro_util::{Json, ToJson};
 
 mod events;
-mod span;
 
 pub use events::{drain_events, event, Event, EVENT_RING_CAPACITY};
-pub use span::{parse_span, SpanNode, SpanScope};
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-
-/// Turn span + event recording on (idempotent). Also registers the
-/// [`repro_util::metrics::time`] hook, so every already-instrumented
-/// pipeline stage (frontend, middle end, codegen, launch) nests into the
-/// current job's span tree with no per-crate changes.
+/// Raise the instrumentation level to Live (idempotent): every
+/// [`metrics::time`] call site then also nests into the current job's span
+/// tree, and the windows and the event ring record.
 pub fn arm() {
-    repro_util::metrics::set_span_hook(span::hook_enter, span::hook_exit);
-    ARMED.store(true, Ordering::Relaxed);
+    metrics::window_enable();
 }
 
-/// Turn recording off again (the default state).
+/// Lower a Live level back to Cumulative.
 pub fn disarm() {
-    ARMED.store(false, Ordering::Relaxed);
-}
-
-/// Whether recording is armed — one relaxed atomic load, the entire cost
-/// of the disarmed path.
-#[inline]
-pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
-}
-
-/// Process-wide host-time epoch: every span timestamp and event time is
-/// microseconds since this instant. Fixed at first use (service startup in
-/// practice), so all timestamps in one process share one timeline.
-pub fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
-/// Microseconds since [`epoch`].
-pub fn now_us() -> u64 {
-    epoch().elapsed().as_micros() as u64
-}
-
-/// Seconds since [`epoch`] — the service uptime `{"cmd":"health"}` reports.
-pub fn uptime_secs() -> f64 {
-    epoch().elapsed().as_secs_f64()
-}
-
-/// FNV-1a 64 over a byte slice (the same function the compile cache keys
-/// with, re-derived here so the crate stays dependency-free).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    metrics::window_disable();
 }
 
 /// SplitMix64 finalizer — spreads the batch index so two identical
@@ -123,57 +77,6 @@ pub fn parse_trace_id(s: &str) -> Option<u64> {
     u64::from_str_radix(s, 16).ok()
 }
 
-thread_local! {
-    pub(crate) static RECORDER: RefCell<Option<span::Recorder>> = const { RefCell::new(None) };
-}
-
-/// Start recording a span tree for one job on the current thread. Replaces
-/// any recorder a previous (possibly panicked) job left behind, so a
-/// poisoned tree can never leak across jobs. No-op while disarmed; returns
-/// whether recording actually started.
-pub fn begin_job(trace_id: u64) -> bool {
-    if !armed() {
-        return false;
-    }
-    RECORDER.with(|r| {
-        *r.borrow_mut() = Some(span::Recorder::new(trace_id, now_us()));
-    });
-    true
-}
-
-/// Finish the current thread's job recording and return the completed span
-/// tree. Frames still open (a panicked job unwound past its scopes) are
-/// closed at the root's end time, so the tree always tiles. `None` while
-/// disarmed or if [`begin_job`] never ran on this thread.
-pub fn end_job() -> Option<SpanNode> {
-    RECORDER
-        .with(|r| r.borrow_mut().take())
-        .map(|rec| rec.finish(now_us()))
-}
-
-/// Attach an already-measured leaf span to the current job (used for the
-/// queue-wait interval, which elapses *before* the worker starts the job).
-/// No-op when no recording is active.
-pub fn attach_span(name: &str, start_us: u64, dur_us: u64) {
-    if !armed() {
-        return;
-    }
-    RECORDER.with(|r| {
-        if let Some(rec) = r.borrow_mut().as_mut() {
-            rec.attach(name, start_us, dur_us);
-        }
-    });
-}
-
-/// Record `f` as a nested span named `name` in the current job's tree.
-/// While disarmed (or outside a job) this is a direct call — no clock.
-pub fn span<R>(name: &str, f: impl FnOnce() -> R) -> R {
-    let scope = SpanScope::enter(name);
-    let r = f();
-    drop(scope);
-    r
-}
-
 /// The global event ring, shared with the [`events`] module.
 fn ring() -> &'static Mutex<events::Ring> {
     static RING: OnceLock<Mutex<events::Ring>> = OnceLock::new();
@@ -195,8 +98,8 @@ impl ToJson for Event {
 mod tests {
     use super::*;
 
-    /// Arming state and the recorder TLS are process-global; tests that
-    /// flip them must not interleave.
+    /// The level, registry and event ring are process-global; tests that
+    /// touch them must not interleave.
     fn serial() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -221,68 +124,61 @@ mod tests {
     fn disarmed_records_nothing() {
         let _g = serial();
         disarm();
-        assert!(!begin_job(7));
+        metrics::begin_job(std::time::Instant::now());
         let mut calls = 0;
-        let v = span("work", || {
+        let v = metrics::span("work", || {
             calls += 1;
             3
         });
         assert_eq!((v, calls), (3, 1));
-        attach_span("queue_wait", 0, 10);
-        assert!(end_job().is_none());
+        assert!(metrics::end_job().is_none());
         event("shed", "never recorded");
         let (evs, dropped) = drain_events();
         assert!(evs.is_empty());
         assert_eq!(dropped, 0);
     }
 
-    #[test]
-    fn span_tree_nests_and_tiles() {
-        let _g = serial();
-        arm();
-        assert!(begin_job(42));
-        attach_span("queue_wait", 0, 5);
-        span("compile", || {
-            span("lower", || {});
-            span("codegen", || {});
-        });
-        span("launch", || {});
-        let tree = end_job().expect("recording was armed");
-        disarm();
-        assert_eq!(tree.name, "job");
-        let names: Vec<&str> = tree.children.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, ["queue_wait", "compile", "launch"]);
-        let inner: Vec<&str> = tree.children[1]
-            .children
-            .iter()
-            .map(|c| c.name.as_str())
-            .collect();
-        assert_eq!(inner, ["lower", "codegen"]);
-        // Round trip through the wire form.
-        let parsed =
-            parse_span(&Json::parse(&tree.to_json().to_pretty()).unwrap()).expect("parses back");
-        assert_eq!(parsed.signature(), tree.signature());
-        assert_eq!(parsed.name, "job");
+    /// What one probe records at the current level: a histogram sample, a
+    /// window sample, a span frame, and an event.
+    fn probe() -> [bool; 4] {
+        metrics::reset();
+        metrics::window_reset();
+        drain_events();
+        metrics::begin_job(std::time::Instant::now());
+        metrics::time("gate.probe", || {});
+        event("gate", "probe");
+        let tree = metrics::end_job();
+        [
+            metrics::snapshot().histogram("gate.probe").is_some(),
+            metrics::window_snapshot().histogram("gate.probe").is_some(),
+            tree.is_some_and(|t| t.signature() == "job(queue_wait,gate.probe)"),
+            !drain_events().0.is_empty(),
+        ]
     }
 
     #[test]
-    fn unclosed_frames_are_closed_at_end_job() {
+    fn one_level_gates_every_sink_through_the_benchmark_sequence() {
         let _g = serial();
+        metrics::disable();
+        assert_eq!(probe(), [false; 4], "off");
+        metrics::enable();
+        assert_eq!(probe(), [true, false, false, false], "enable");
+        metrics::window_enable();
         arm();
-        begin_job(1);
-        // Simulate a panic unwinding past an open scope: enter without exit.
-        let scope = SpanScope::enter("doomed");
-        std::mem::forget(scope);
-        let tree = end_job().unwrap();
+        assert_eq!(probe(), [true; 4], "window_enable + arm");
         disarm();
-        assert_eq!(tree.children.len(), 1);
-        assert_eq!(tree.children[0].name, "doomed");
-        // A fresh job is unaffected by the leak.
+        metrics::window_disable();
+        assert_eq!(
+            probe(),
+            [true, false, false, false],
+            "disarm + window_disable"
+        );
+        metrics::window_enable();
         arm();
-        begin_job(2);
-        let tree = end_job().unwrap();
-        disarm();
-        assert!(tree.children.is_empty());
+        assert_eq!(probe(), [true; 4], "window_enable + arm again");
+        metrics::disable();
+        assert_eq!(probe(), [false; 4], "disable");
+        assert!(!metrics::enabled() && !metrics::live());
     }
 
     #[test]

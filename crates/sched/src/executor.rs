@@ -476,14 +476,10 @@ fn execute(me: usize, task: Task, shared: &Shared) {
     let ctx = JobCtx {
         cancelled: Arc::clone(&cancelled),
     };
-    // Span recording (armed only under `repro serve`): the queue-wait
-    // interval elapsed before we picked the task up, so it is attached as
-    // an already-measured leaf; everything from here on records live.
-    if repro_obs::begin_job(trace_id) {
-        let wait_us = submitted.elapsed().as_micros() as u64;
-        let now_us = repro_obs::now_us();
-        repro_obs::attach_span("queue_wait", now_us.saturating_sub(wait_us), wait_us);
-    }
+    // Span recording (armed only under `repro serve`): the job's root opens
+    // at submission, so the queue wait and everything recorded from here on
+    // are ordered children inside it.
+    metrics::begin_job(submitted);
     let start = Instant::now();
     let mut result = run_isolated(|| {
         // `sched.job.panic`: a bug in our own stack, not the kernel — must
@@ -502,7 +498,7 @@ fn execute(me: usize, task: Task, shared: &Shared) {
         job.execute(&ctx)
     });
     let wall_secs = start.elapsed().as_secs_f64();
-    let spans = repro_obs::end_job();
+    let spans = metrics::end_job();
     // Retire from the in-flight table (identity: our cancelled flag).
     shared
         .inflight

@@ -16,7 +16,7 @@
 
 use ocl_ir::passes::OptLevel;
 use repro_diag::{FailureClass, ReproError};
-use repro_obs::SpanNode;
+use repro_util::metrics::SpanNode;
 use repro_util::{Json, ToJson};
 
 /// Default watchdog budgets for scheduled jobs — the PR 4 `repro check`
@@ -361,8 +361,8 @@ pub struct JobOutcome {
     /// ([`repro_obs::trace_id`]), so the same plan reruns to the same ids.
     pub trace_id: u64,
     /// Host-time span tree recorded while executing this job; present only
-    /// when `repro-obs` is armed (a live `repro serve`), never in batch
-    /// mode.
+    /// at the Live instrumentation level (a live `repro serve`), never in
+    /// batch mode.
     pub spans: Option<SpanNode>,
 }
 

@@ -21,6 +21,7 @@ use repro_sched::{
     ArgSpec, Flow, Job, JobCtx, JobRequest, JobStats, Payload, DEFAULT_MAX_CYCLES,
     DEFAULT_MAX_INSTRUCTIONS,
 };
+use repro_util::metrics;
 use vortex_rt::{Arg, VxSession};
 use vortex_sim::SimConfig;
 
@@ -41,7 +42,7 @@ pub fn sim_config(req: &JobRequest) -> SimConfig {
 
 /// Execute one request. This is the body of every scheduled job; the
 /// executor wraps it in panic isolation, the sequential reference path
-/// ([`run_oneshot`]) calls it directly. Under an armed `repro-obs` the
+/// ([`run_oneshot`]) calls it directly. At the Live metrics level the
 /// whole execution records as one `flow.*` span, with the cache-lookup and
 /// compile-stage spans nesting beneath it.
 pub fn run_request(req: &JobRequest, ctx: &JobCtx) -> Result<JobStats, ReproError> {
@@ -50,7 +51,7 @@ pub fn run_request(req: &JobRequest, ctx: &JobCtx) -> Result<JobStats, ReproErro
         Flow::Vortex => "flow.vortex",
         Flow::Hls => "flow.hls",
     };
-    repro_obs::span(span_name, || run_request_inner(req, ctx))
+    metrics::span(span_name, || run_request_inner(req, ctx))
 }
 
 fn run_request_inner(req: &JobRequest, _ctx: &JobCtx) -> Result<JobStats, ReproError> {

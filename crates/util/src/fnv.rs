@@ -1,0 +1,63 @@
+//! FNV-1a 64, the workspace's one specified, stable hash: compile-cache
+//! keys and disk checksums, trace ids, fault-stream seeds and the chaos
+//! harness's artifact digests all use it.
+
+/// Streaming FNV-1a 64-bit hash. Unlike `std::hash::DefaultHasher`, the
+/// output is specified and stable across processes and toolchain versions —
+/// a requirement for on-disk cache keys, fault-stream seeds and trace ids.
+#[derive(Clone, Copy)]
+pub struct Fnv(u64);
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv(FNV_OFFSET)
+    }
+}
+
+impl Fnv {
+    pub fn new() -> Fnv {
+        Fnv::default()
+    }
+
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    pub fn write_u8(&mut self, v: u8) {
+        self.write(&[v]);
+    }
+
+    pub fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One-shot FNV-1a 64 over a byte slice.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv::new();
+    h.write(bytes);
+    h.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fnv_matches_reference_vectors() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+}

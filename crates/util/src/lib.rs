@@ -1,7 +1,7 @@
 //! `repro-util` — dependency-free support code shared across the workspace.
 //!
 //! The build environment is fully offline, so the usual crates.io helpers
-//! (serde, rayon, rand, proptest) are replaced by the three small modules
+//! (serde, rayon, rand, proptest) are replaced by the small modules
 //! here:
 //!
 //! * [`json`] — a minimal JSON value tree + pretty printer and the
@@ -11,9 +11,12 @@
 //!   slice (the sweep-driver fan-out primitive);
 //! * [`rng`] — a deterministic SplitMix64 generator for the randomized
 //!   differential tests;
-//! * [`metrics`] — the process-wide counters/gauges/histograms registry
-//!   behind `repro perf-report` (off by default, observably free while off).
+//! * [`metrics`] — the process-wide instrumentation core: counters, gauges,
+//!   histograms, rolling windows and per-job span trees behind one level
+//!   gate (off by default, observably free while off);
+//! * [`fnv`] — FNV-1a 64, the one stable hash the workspace keys with.
 
+pub mod fnv;
 pub mod json;
 pub mod metrics;
 pub mod par;

@@ -1,53 +1,123 @@
-//! Process-wide metrics registry — the pipeline's observability spine.
+//! Process-wide instrumentation core — the pipeline's observability spine.
 //!
 //! Every stage of the reproduction (front end, pass manager, HLS synthesis,
-//! Vortex codegen, suite runner, the `repro` harness itself) reports into
-//! one registry of three instrument kinds:
+//! Vortex codegen, suite runner, scheduler, `repro serve`) records through
+//! this one module. It keeps three sinks:
 //!
-//! * **counters** — monotone event tallies (`suite.runs.vortex`,
-//!   `ir.rewrites.cse`). Additions saturate at `u64::MAX` instead of
-//!   wrapping, so a counter can never lie by going backwards.
-//! * **gauges** — last-write-wins scalars (`sim.warps_configured`).
-//! * **histograms** — wall-clock span observations in seconds
-//!   (`frontend.parse`, `ir.pass.licm`, `hls.synthesize`). Snapshots report
-//!   count / total / p50 / p95 / max per series.
+//! * the **cumulative registry** of three instrument kinds:
+//!   * **counters** — monotone event tallies (`suite.runs.vortex`,
+//!     `ir.rewrites.cse`). Additions saturate at `u64::MAX` instead of
+//!     wrapping, so a counter can never lie by going backwards.
+//!   * **gauges** — last-write-wins scalars (`sim.warps_configured`).
+//!   * **histograms** — wall-clock span observations in seconds
+//!     (`frontend.parse`, `ir.pass.licm`, `hls.synthesize`). Snapshots
+//!     report count / total / p50 / p95 / max per series.
+//! * the **windows** — the same counters and histograms over a rolling
+//!   5-minute horizon, for a live service's `{"cmd":"stats"}`;
+//! * the **span trees** — one nested tree of wall-clock frames per job,
+//!   recorded on the worker thread that executes it ([`begin_job`] /
+//!   [`end_job`]). Every [`time`] call site is also a frame, so the tree
+//!   and the histograms come from the same two clock reads.
 //!
-//! Mirroring the simulator's `NopSink` contract, the registry is **off by
-//! default** and observably free while off: every recording entry point
-//! checks one relaxed atomic load and returns before touching a clock, a
-//! lock, or an allocation. [`time`] calls its closure directly on the
-//! disabled path — no `Instant::now` bracketing. The trace goldens and
-//! Table I–IV artifacts are byte-identical with metrics off because the
-//! disabled registry does nothing at all.
+//! One process-wide level gates all three:
 //!
-//! Enabling is explicit ([`enable`]) and meant for harness entry points
-//! (the `repro` binary, `perf-report` collection), never libraries.
-//! Percentiles use the nearest-rank method: `pXX` is the smallest sample
-//! such that at least XX% of samples are ≤ it.
+//! | level | records |
+//! |---|---|
+//! | Off (default) | nothing |
+//! | Cumulative ([`enable`]) | counters, gauges, histograms |
+//! | Live ([`window_enable`], `repro_obs::arm`) | Cumulative + windows, span trees, the event ring |
+//!
+//! Mirroring the simulator's `NopSink` contract, every record point starts
+//! with one relaxed load of the level and, while Off, returns before
+//! touching a clock, a lock, thread-local state, or an allocation; [`time`]
+//! calls its closure directly. The trace goldens and Table I–IV artifacts
+//! are byte-identical at every level because nothing here feeds back into
+//! what the pipeline computes.
+//!
+//! All timestamps — span starts, event times, [`uptime_secs`], window
+//! periods — are measured from one process epoch, fixed no later than the
+//! first [`enable`] or [`window_enable`]. Raising the level is explicit
+//! and meant for harness entry points (the `repro` binary, `perf-report`
+//! collection, `repro serve`), never libraries. Percentiles use the
+//! nearest-rank method: `pXX` is the smallest sample such that at least
+//! XX% of samples are ≤ it.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+use crate::{Json, ToJson};
 
-/// Enter half of the span hook: returns whether a frame was opened (so the
-/// matching exit call can be skipped when it wasn't).
-pub type SpanEnter = fn(&str) -> bool;
-/// Exit half of the span hook.
-pub type SpanExit = fn();
+const OFF: u8 = 0;
+const CUMULATIVE: u8 = 1;
+const LIVE: u8 = 2;
 
-/// The installed span hook, if any. Set once per process — `repro-obs`
-/// registers itself here so every [`time`] call site doubles as a span in
-/// the current job's trace without this crate depending on the tracer.
-static SPAN_HOOK: OnceLock<(SpanEnter, SpanExit)> = OnceLock::new();
+/// The one instrumentation gate. Relaxed: the level publishes no data, it
+/// only decides whether a record point records.
+static LEVEL: AtomicU8 = AtomicU8::new(OFF);
 
-/// Install the process-wide span hook (first caller wins; later calls are
-/// ignored). The hook only fires on [`time`]'s *enabled* path, so the
-/// disabled-registry cost stays one relaxed atomic load.
-pub fn set_span_hook(enter: SpanEnter, exit: SpanExit) {
-    let _ = SPAN_HOOK.set((enter, exit));
+fn level() -> u8 {
+    LEVEL.load(Ordering::Relaxed)
+}
+
+/// Raise the level to at least Cumulative. Never lowers a Live level.
+/// Starts the process clock if nothing has yet.
+pub fn enable() {
+    epoch();
+    LEVEL.fetch_max(CUMULATIVE, Ordering::Relaxed);
+}
+
+/// Set the level to Off (the default state).
+pub fn disable() {
+    LEVEL.store(OFF, Ordering::Relaxed);
+}
+
+/// Whether the cumulative registry is recording (level Cumulative or Live).
+pub fn enabled() -> bool {
+    level() >= CUMULATIVE
+}
+
+/// Raise the level to Live: windows, span trees and the event ring record
+/// on top of the cumulative registry. `repro_obs::arm` is the same switch.
+/// Starts the process clock if nothing has yet.
+pub fn window_enable() {
+    epoch();
+    LEVEL.store(LIVE, Ordering::Relaxed);
+}
+
+/// Lower a Live level back to Cumulative (no-op at any other level).
+/// `repro_obs::disarm` is the same switch.
+pub fn window_disable() {
+    let _ = LEVEL.compare_exchange(LIVE, CUMULATIVE, Ordering::Relaxed, Ordering::Relaxed);
+}
+
+/// Whether the level is Live.
+pub fn live() -> bool {
+    level() == LIVE
+}
+
+/// The process epoch every timestamp is measured from.
+fn epoch() -> Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    *EPOCH.get_or_init(Instant::now)
+}
+
+/// Microseconds from the process epoch to `t` (0 for instants before it).
+fn micros(t: Instant) -> u64 {
+    t.saturating_duration_since(epoch()).as_micros() as u64
+}
+
+/// Microseconds since the process epoch.
+pub fn now_us() -> u64 {
+    micros(Instant::now())
+}
+
+/// Seconds since the process epoch — the service uptime
+/// `{"cmd":"health"}` reports.
+pub fn uptime_secs() -> f64 {
+    epoch().elapsed().as_secs_f64()
 }
 
 #[derive(Default)]
@@ -62,31 +132,16 @@ fn registry() -> &'static Mutex<Inner> {
     REG.get_or_init(|| Mutex::new(Inner::default()))
 }
 
-/// Turn collection on. Recording entry points start taking the slow path.
-pub fn enable() {
-    ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Turn collection off again (the default state).
-pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
-}
-
-/// Whether the registry is currently collecting.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Clear every instrument (does not change the enabled flag).
+/// Clear every instrument (does not change the level).
 pub fn reset() {
     let mut r = registry().lock().unwrap();
     *r = Inner::default();
 }
 
-/// Add `n` to counter `name`, saturating at `u64::MAX`. No-op while
-/// disabled.
+/// Add `n` to counter `name`, saturating at `u64::MAX`. No-op while Off.
 pub fn counter_add(name: &str, n: u64) {
-    if !enabled() {
+    let level = level();
+    if level == OFF {
         return;
     }
     {
@@ -94,7 +149,7 @@ pub fn counter_add(name: &str, n: u64) {
         let c = r.counters.entry(name.to_string()).or_insert(0);
         *c = c.saturating_add(n);
     }
-    if windowed() {
+    if level == LIVE {
         windows()
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -102,9 +157,9 @@ pub fn counter_add(name: &str, n: u64) {
     }
 }
 
-/// Set gauge `name` to `v` (last write wins). No-op while disabled.
+/// Set gauge `name` to `v` (last write wins). No-op while Off.
 pub fn gauge_set(name: &str, v: f64) {
-    if !enabled() {
+    if level() == OFF {
         return;
     }
     registry()
@@ -115,9 +170,13 @@ pub fn gauge_set(name: &str, v: f64) {
 }
 
 /// Record one observation (seconds) into histogram `name`. No-op while
-/// disabled.
+/// Off.
 pub fn observe_secs(name: &str, secs: f64) {
-    if !enabled() {
+    record_sample(level(), name, secs);
+}
+
+fn record_sample(level: u8, name: &str, secs: f64) {
+    if level == OFF {
         return;
     }
     registry()
@@ -127,7 +186,7 @@ pub fn observe_secs(name: &str, secs: f64) {
         .entry(name.to_string())
         .or_default()
         .push(secs);
-    if windowed() {
+    if level == LIVE {
         windows()
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -135,19 +194,33 @@ pub fn observe_secs(name: &str, secs: f64) {
     }
 }
 
-/// Time `f` and record the span into histogram `name`. While disabled this
-/// is a direct call — no clock is read and the span hook never fires.
+/// Time `f` into histogram `name` and, at Live inside a job, record it as
+/// a frame of the job's span tree. One clock read at entry and one at exit
+/// feed both. While Off this is a direct call — no clock is read.
 pub fn time<R>(name: &str, f: impl FnOnce() -> R) -> R {
-    if !enabled() {
+    let level = level();
+    if level == OFF {
         return f();
     }
-    let hook = SPAN_HOOK.get().map(|&(enter, exit)| (enter(name), exit));
     let t0 = Instant::now();
+    let framed = level == LIVE && enter_frame(name, t0);
     let r = f();
-    observe_secs(name, t0.elapsed().as_secs_f64());
-    if let Some((true, exit)) = hook {
-        exit();
+    let t1 = Instant::now();
+    record_sample(level, name, (t1 - t0).as_secs_f64());
+    if framed {
+        exit_frame(t1);
     }
+    r
+}
+
+/// Record `f` as a frame named `name` of the current job's span tree, with
+/// no histogram. A direct call below Live or outside a job.
+pub fn span<R>(name: &str, f: impl FnOnce() -> R) -> R {
+    if !live() || !enter_frame(name, Instant::now()) {
+        return f();
+    }
+    let r = f();
+    exit_frame(Instant::now());
     r
 }
 
@@ -233,9 +306,9 @@ pub fn snapshot() -> Snapshot {
     }
 }
 
-impl crate::ToJson for HistogramSummary {
-    fn to_json(&self) -> crate::Json {
-        crate::Json::obj(vec![
+impl ToJson for HistogramSummary {
+    fn to_json(&self) -> Json {
+        Json::obj(vec![
             ("count", self.count.to_json()),
             ("total_secs", self.total.to_json()),
             ("p50_secs", self.p50.to_json()),
@@ -245,9 +318,8 @@ impl crate::ToJson for HistogramSummary {
     }
 }
 
-impl crate::ToJson for Snapshot {
-    fn to_json(&self) -> crate::Json {
-        use crate::Json;
+impl ToJson for Snapshot {
+    fn to_json(&self) -> Json {
         Json::obj(vec![
             (
                 "counters",
@@ -282,8 +354,7 @@ impl crate::ToJson for Snapshot {
 
 /// Rebuild a [`Snapshot`] from the JSON form [`ToJson`] produces — the
 /// manifest-reading half of baseline comparison.
-pub fn snapshot_from_json(j: &crate::Json) -> Option<Snapshot> {
-    use crate::Json;
+pub fn snapshot_from_json(j: &Json) -> Option<Snapshot> {
     let objects = |v: &Json| match v {
         Json::Object(fields) => Some(fields.clone()),
         _ => None,
@@ -329,10 +400,9 @@ pub fn snapshot_from_json(j: &crate::Json) -> Option<Snapshot> {
 // reuse (stamped with their period id), so rotation costs nothing when a
 // name goes quiet.
 //
-// Cost contract: windowed collection piggybacks on the *enabled* slow path
-// of `counter_add`/`observe_secs` — a fully-disabled registry still costs
-// exactly one relaxed atomic load, and an enabled-but-unwindowed registry
-// adds one more relaxed load only after it has already taken the lock.
+// Windows record only at Live, on the same record points as the cumulative
+// registry; below Live they cost nothing beyond the level load those record
+// points already make.
 // ---------------------------------------------------------------------------
 
 /// Seconds covered by one window bucket.
@@ -340,27 +410,7 @@ pub const WINDOW_BUCKET_SECS: u64 = 10;
 /// Buckets in the ring: 30 × 10 s = a rolling 5-minute horizon.
 pub const WINDOW_BUCKETS: usize = 30;
 
-static WINDOWED: AtomicBool = AtomicBool::new(false);
-
-/// Whether windowed collection is on (checked only on the already-enabled
-/// slow path).
-fn windowed() -> bool {
-    WINDOWED.load(Ordering::Relaxed)
-}
-
-/// Turn windowed collection on. Implies nothing about [`enable`] — the
-/// windowed layer only sees what the cumulative registry records, so a
-/// server wanting live stats enables both.
-pub fn window_enable() {
-    WINDOWED.store(true, Ordering::Relaxed);
-}
-
-/// Turn windowed collection off again (the default state).
-pub fn window_disable() {
-    WINDOWED.store(false, Ordering::Relaxed);
-}
-
-/// Clear every window ring (does not change the windowed flag).
+/// Clear every window ring (does not change the level).
 pub fn window_reset() {
     let mut w = windows().lock().unwrap_or_else(|e| e.into_inner());
     *w = WindowSet::new();
@@ -371,15 +421,10 @@ fn windows() -> &'static Mutex<WindowSet> {
     WIN.get_or_init(|| Mutex::new(WindowSet::new()))
 }
 
-/// The process clock the global window rings are stamped with: period ids
-/// count `WINDOW_BUCKET_SECS` intervals since first use.
-fn window_epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
+/// Window period ids count `WINDOW_BUCKET_SECS` intervals since the
+/// process epoch.
 fn current_period() -> u64 {
-    window_epoch().elapsed().as_secs() / WINDOW_BUCKET_SECS
+    epoch().elapsed().as_secs() / WINDOW_BUCKET_SECS
 }
 
 /// One counter's bucket ring: `(period stamp, value)` per slot, indexed by
@@ -555,9 +600,8 @@ impl WindowSnapshot {
     }
 }
 
-impl crate::ToJson for WindowSnapshot {
-    fn to_json(&self) -> crate::Json {
-        use crate::Json;
+impl ToJson for WindowSnapshot {
+    fn to_json(&self) -> Json {
         Json::obj(vec![
             ("horizon_secs", self.horizon_secs.to_json()),
             (
@@ -582,13 +626,234 @@ impl crate::ToJson for WindowSnapshot {
     }
 }
 
-/// Summarise the global window rings as of now. Works whether or not
-/// windowed collection is on (an unwindowed registry snapshots as empty).
+/// Summarise the global window rings as of now. Works at any level (rings
+/// never written at Live snapshot as empty).
 pub fn window_snapshot() -> WindowSnapshot {
     windows()
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .snapshot_at(current_period())
+}
+
+// ---------------------------------------------------------------------------
+// Per-job span trees
+//
+// At Live the executor brackets each job with `begin_job` / `end_job` on the
+// worker thread that runs it; every `time` and `span` call in between pushes
+// a frame onto that thread's recorder. Closing a frame folds it into its
+// parent's children, so the finished tree nests exactly as the calls did.
+// ---------------------------------------------------------------------------
+
+/// One node of a job's span tree. Times are microseconds since the process
+/// epoch; durations are wall-clock and therefore nondeterministic —
+/// everything else (name, nesting, child order) is a pure function of what
+/// the job executed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SpanNode {
+    pub name: String,
+    pub start_us: u64,
+    pub dur_us: u64,
+    pub children: Vec<SpanNode>,
+}
+
+impl SpanNode {
+    /// Total nodes in this subtree (root included).
+    pub fn count(&self) -> usize {
+        1 + self.children.iter().map(SpanNode::count).sum::<usize>()
+    }
+
+    /// The duration-free shape of the tree: nested names only. Two runs of
+    /// the same job must produce equal signatures regardless of pool width
+    /// or which worker executed them — the span-determinism tests compare
+    /// exactly this.
+    pub fn signature(&self) -> String {
+        let mut out = String::new();
+        self.write_signature(&mut out);
+        out
+    }
+
+    fn write_signature(&self, out: &mut String) {
+        out.push_str(&self.name);
+        if !self.children.is_empty() {
+            out.push('(');
+            for (i, c) in self.children.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                c.write_signature(out);
+            }
+            out.push(')');
+        }
+    }
+
+    /// Whether every child lies inside its parent and no parent's children
+    /// sum to more than the parent (self time ≥ 0), recursively.
+    fn well_formed(&self) -> bool {
+        let end = self.start_us + self.dur_us;
+        let inside = |c: &SpanNode| c.start_us >= self.start_us && c.start_us + c.dur_us <= end;
+        self.children.iter().all(inside)
+            && self.children.iter().map(|c| c.dur_us).sum::<u64>() <= self.dur_us
+            && self.children.iter().all(SpanNode::well_formed)
+    }
+}
+
+impl ToJson for SpanNode {
+    fn to_json(&self) -> Json {
+        let mut fields = vec![
+            ("name", self.name.to_json()),
+            ("start_us", self.start_us.to_json()),
+            ("dur_us", self.dur_us.to_json()),
+        ];
+        if !self.children.is_empty() {
+            fields.push((
+                "children",
+                Json::Array(self.children.iter().map(ToJson::to_json).collect()),
+            ));
+        }
+        Json::obj(fields)
+    }
+}
+
+/// Parse a span tree back from its wire form ([`SpanNode::to_json`]
+/// inverse). `None` on any missing or mistyped field.
+pub fn parse_span(j: &Json) -> Option<SpanNode> {
+    let name = j.get("name")?.as_str()?.to_string();
+    let start_us = j.get("start_us")?.as_u64()?;
+    let dur_us = j.get("dur_us")?.as_u64()?;
+    let children = match j.get("children") {
+        None => Vec::new(),
+        Some(c) => c
+            .as_array()?
+            .iter()
+            .map(parse_span)
+            .collect::<Option<Vec<_>>>()?,
+    };
+    Some(SpanNode {
+        name,
+        start_us,
+        dur_us,
+        children,
+    })
+}
+
+/// An open (not yet closed) span frame on the recorder stack.
+struct Frame {
+    name: String,
+    start_us: u64,
+    children: Vec<SpanNode>,
+}
+
+/// Per-thread span recorder for one job. The stack holds the chain of
+/// currently-open frames; index 0 is the synthetic `job` root.
+struct Recorder {
+    stack: Vec<Frame>,
+}
+
+impl Recorder {
+    fn enter(&mut self, name: &str, now_us: u64) {
+        self.stack.push(Frame {
+            name: name.to_string(),
+            start_us: now_us,
+            children: Vec::new(),
+        });
+    }
+
+    fn exit(&mut self, now_us: u64) {
+        // Never pop the root: a stray exit is dropped rather than
+        // corrupting the tree.
+        if self.stack.len() <= 1 {
+            return;
+        }
+        let frame = self.stack.pop().expect("len checked above");
+        let node = SpanNode {
+            name: frame.name,
+            start_us: frame.start_us,
+            dur_us: now_us.saturating_sub(frame.start_us),
+            children: frame.children,
+        };
+        self.stack
+            .last_mut()
+            .expect("root always present")
+            .children
+            .push(node);
+    }
+
+    /// Close every still-open frame (a panicked job unwinds past its
+    /// frames) and return the finished tree.
+    fn finish(mut self, now_us: u64) -> SpanNode {
+        while self.stack.len() > 1 {
+            self.exit(now_us);
+        }
+        let root = self.stack.pop().expect("root always present");
+        let tree = SpanNode {
+            name: root.name,
+            start_us: root.start_us,
+            dur_us: now_us.saturating_sub(root.start_us),
+            children: root.children,
+        };
+        debug_assert!(tree.well_formed(), "malformed span tree: {tree:?}");
+        tree
+    }
+}
+
+thread_local! {
+    static RECORDER: RefCell<Option<Recorder>> = const { RefCell::new(None) };
+}
+
+/// Start recording a span tree on the current thread for a job submitted
+/// at `submitted`. The `job` root starts at submission, and the interval
+/// until now is its first child, `queue_wait`, so every later frame lies
+/// inside the root after it. Replaces any recorder a previous (possibly
+/// panicked) job left behind. No-op below Live.
+pub fn begin_job(submitted: Instant) {
+    if !live() {
+        return;
+    }
+    let (start_us, now_us) = (micros(submitted), now_us());
+    let queue_wait = SpanNode {
+        name: "queue_wait".to_string(),
+        start_us,
+        dur_us: now_us.saturating_sub(start_us),
+        children: Vec::new(),
+    };
+    let root = Frame {
+        name: "job".to_string(),
+        start_us,
+        children: vec![queue_wait],
+    };
+    RECORDER.with(|r| *r.borrow_mut() = Some(Recorder { stack: vec![root] }));
+}
+
+/// Finish the current thread's job recording and return the completed span
+/// tree. Frames still open (a panicked job unwound past them) are closed
+/// at the root's end time, so the tree always nests. `None` if
+/// [`begin_job`] did not record on this thread.
+pub fn end_job() -> Option<SpanNode> {
+    RECORDER
+        .with(|r| r.borrow_mut().take())
+        .map(|rec| rec.finish(now_us()))
+}
+
+/// Push a frame starting at `t` onto the current thread's recorder, if one
+/// is active. Returns whether a frame was opened, so the matching
+/// [`exit_frame`] is skipped when it wasn't.
+fn enter_frame(name: &str, t: Instant) -> bool {
+    RECORDER.with(|r| match r.borrow_mut().as_mut() {
+        Some(rec) => {
+            rec.enter(name, micros(t));
+            true
+        }
+        None => false,
+    })
+}
+
+/// Close the innermost open frame at `t`.
+fn exit_frame(t: Instant) {
+    RECORDER.with(|r| {
+        if let Some(rec) = r.borrow_mut().as_mut() {
+            rec.exit(micros(t));
+        }
+    });
 }
 
 #[cfg(test)]
@@ -761,23 +1026,61 @@ mod tests {
     }
 
     #[test]
-    fn windowed_global_registry_sees_enabled_traffic_only() {
+    fn span_tree_nests_and_tiles() {
         let _g = serial();
-        disable();
-        window_reset();
         window_enable();
-        // Disabled cumulative registry => windowed layer sees nothing
-        // either (it rides the enabled slow path).
-        counter_add("w.jobs", 5);
-        assert_eq!(window_snapshot().counter("w.jobs"), 0);
-        enable();
-        counter_add("w.jobs", 2);
-        observe_secs("w.lat", 0.25);
-        let snap = window_snapshot();
+        begin_job(Instant::now());
+        span("compile", || {
+            span("lower", || {});
+            span("codegen", || {});
+        });
+        span("launch", || {});
+        let tree = end_job().expect("recording was live");
         disable();
-        window_disable();
-        window_reset();
-        assert_eq!(snap.counter("w.jobs"), 2);
-        assert_eq!(snap.histogram("w.lat").unwrap().count, 1);
+        assert_eq!(tree.name, "job");
+        let names: Vec<&str> = tree.children.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["queue_wait", "compile", "launch"]);
+        let inner: Vec<&str> = tree.children[1]
+            .children
+            .iter()
+            .map(|c| c.name.as_str())
+            .collect();
+        assert_eq!(inner, ["lower", "codegen"]);
+        assert!(tree.well_formed(), "{tree:?}");
+        // Round trip through the wire form.
+        let parsed =
+            parse_span(&Json::parse(&tree.to_json().to_pretty()).unwrap()).expect("parses back");
+        assert_eq!(parsed.signature(), tree.signature());
+        assert_eq!(parsed.name, "job");
+    }
+
+    #[test]
+    fn unclosed_frames_are_closed_at_end_job() {
+        let _g = serial();
+        window_enable();
+        begin_job(Instant::now());
+        // Simulate a panic unwinding past an open frame: enter without exit.
+        assert!(enter_frame("doomed", Instant::now()));
+        let tree = end_job().unwrap();
+        assert_eq!(tree.children.len(), 2);
+        assert_eq!(tree.children[1].name, "doomed");
+        // A fresh job is unaffected by the leak.
+        begin_job(Instant::now());
+        let tree = end_job().unwrap();
+        disable();
+        assert_eq!(tree.signature(), "job(queue_wait)");
+    }
+
+    #[test]
+    fn time_outside_a_job_at_live_records_its_histogram_and_no_frame() {
+        let _g = serial();
+        window_enable();
+        reset();
+        assert_eq!(time("outside", || 5), 5);
+        let opened = end_job();
+        let s = snapshot();
+        disable();
+        assert_eq!(s.histogram("outside").map(|h| h.count), Some(1));
+        assert!(opened.is_none(), "no recorder, so no frame: {opened:?}");
     }
 }

@@ -3,10 +3,10 @@
 //! its trace id is a pure function of the request — neither may depend on
 //! pool width, which worker ran the job, or wall-clock luck.
 //!
-//! Lives in its own integration binary on purpose: arming `repro-obs` and
-//! the metrics registry is process-global, and span recording piggybacks on
-//! every `metrics::time` call site — sharing a process with tests that
-//! assert empty registries or byte-identical serve output would race.
+//! Lives in its own integration binary on purpose: the instrumentation
+//! level is process-global, and at Live every `metrics::time` call site is
+//! also a span frame — sharing a process with tests that assert empty
+//! registries or byte-identical serve output would race.
 //!
 //! The batch is run once sequentially first to warm the global compile
 //! cache, so both pool widths execute fully cache-hit and their trees
@@ -15,6 +15,7 @@
 use fpga_gpu_repro::obs;
 use fpga_gpu_repro::sched::{ExecConfig, Executor, Flow, JobRequest};
 use fpga_gpu_repro::suite::{instantiate, run_oneshot};
+use repro_util::metrics::SpanNode;
 use repro_util::{metrics, ToJson};
 
 fn batch() -> Vec<JobRequest> {
@@ -80,6 +81,40 @@ fn span_trees_are_identical_across_pool_widths_and_reruns() {
     ids.sort_unstable();
     ids.dedup();
     assert_eq!(ids.len(), 6);
+}
+
+/// Assert that every child interval lies inside its parent's, recursively.
+fn assert_nested(node: &SpanNode, path: &str) {
+    let end = node.start_us + node.dur_us;
+    for c in &node.children {
+        let path = format!("{path}/{}", c.name);
+        assert!(
+            c.start_us >= node.start_us && c.start_us + c.dur_us <= end,
+            "{path} [{}, +{}] escapes its parent [{}, +{}]",
+            c.start_us,
+            c.dur_us,
+            node.start_us,
+            node.dur_us
+        );
+        assert_nested(c, &path);
+    }
+}
+
+#[test]
+fn every_span_lies_inside_its_parent() {
+    metrics::enable();
+    obs::arm();
+    // One worker: every job after the first waits in the queue, so each
+    // tree has a nonzero `queue_wait` that must still nest under `job`.
+    let exec = Executor::new(ExecConfig::with_workers(1));
+    let outcomes = exec.run(batch().into_iter().map(instantiate).collect());
+    for oc in &outcomes {
+        let tree = oc
+            .spans
+            .as_ref()
+            .unwrap_or_else(|| panic!("armed run must attach spans to {}", oc.label));
+        assert_nested(tree, &oc.label);
+    }
 }
 
 #[test]
