@@ -237,24 +237,33 @@ pub struct HistogramSummary {
     pub max: f64,
 }
 
-/// Nearest-rank percentile over a sorted, non-empty slice: the smallest
-/// element such that at least `q` of the distribution is ≤ it.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    debug_assert!(!sorted.is_empty());
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+fn sample_cmp(a: &f64, b: &f64) -> std::cmp::Ordering {
+    a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
+}
+
+/// Nearest-rank percentile of a non-empty sample set: the smallest element
+/// such that at least `q` of the distribution is ≤ it. Selection, not a
+/// sort: `samples` comes back partially reordered.
+fn percentile(samples: &mut [f64], q: f64) -> f64 {
+    debug_assert!(!samples.is_empty());
+    let rank = (q * samples.len() as f64).ceil() as usize;
+    *samples
+        .select_nth_unstable_by(rank.clamp(1, samples.len()) - 1, sample_cmp)
+        .1
 }
 
 impl HistogramSummary {
-    fn from_samples(samples: &[f64]) -> HistogramSummary {
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    /// Summarise a non-empty sample set, taking ownership so the samples
+    /// are copied at most once per snapshot.
+    fn from_samples(mut samples: Vec<f64>) -> HistogramSummary {
+        // Summed in recording order, before selection reorders the samples.
+        let total = samples.iter().sum();
         HistogramSummary {
             count: samples.len() as u64,
-            total: samples.iter().sum(),
-            p50: percentile(&sorted, 0.50),
-            p95: percentile(&sorted, 0.95),
-            max: *sorted.last().unwrap(),
+            total,
+            max: samples.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+            p50: percentile(&mut samples, 0.50),
+            p95: percentile(&mut samples, 0.95),
         }
     }
 }
@@ -301,7 +310,7 @@ pub fn snapshot() -> Snapshot {
         histograms: r
             .histograms
             .iter()
-            .map(|(k, v)| (k.clone(), HistogramSummary::from_samples(v)))
+            .map(|(k, v)| (k.clone(), HistogramSummary::from_samples(v.clone())))
             .collect(),
     }
 }
@@ -551,7 +560,7 @@ impl WindowSet {
                 if samples.is_empty() {
                     None
                 } else {
-                    Some((k.clone(), HistogramSummary::from_samples(&samples)))
+                    Some((k.clone(), HistogramSummary::from_samples(samples)))
                 }
             })
             .collect();
@@ -1082,5 +1091,25 @@ mod tests {
         disable();
         assert_eq!(s.histogram("outside").map(|h| h.count), Some(1));
         assert!(opened.is_none(), "no recorder, so no frame: {opened:?}");
+    }
+
+    #[test]
+    fn selection_percentiles_match_a_full_sort() {
+        let mut rng = crate::rng::Rng::new(0x5e1ec7);
+        for n in 1..=257usize {
+            // Few distinct values, so every length has duplicates.
+            let samples: Vec<f64> = (0..n)
+                .map(|_| rng.below(n as u64 / 3 + 2) as f64 * 1e-3)
+                .collect();
+            let mut sorted = samples.clone();
+            sorted.sort_by(sample_cmp);
+            let rank = |q: f64| sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1];
+            let h = HistogramSummary::from_samples(samples.clone());
+            assert_eq!(h.count, n as u64);
+            assert_eq!(h.total.to_bits(), samples.iter().sum::<f64>().to_bits());
+            assert_eq!(h.p50.to_bits(), rank(0.50).to_bits(), "p50 at n={n}");
+            assert_eq!(h.p95.to_bits(), rank(0.95).to_bits(), "p95 at n={n}");
+            assert_eq!(h.max.to_bits(), sorted[n - 1].to_bits(), "max at n={n}");
+        }
     }
 }

@@ -33,73 +33,49 @@ struct Warp {
     barrier: Option<(u32, u32)>,
 }
 
-/// Scoreboard-relevant registers of one instruction, in fixed storage: at
-/// most two sources per register file and one destination on each.
-#[derive(Debug, Clone, Copy, Default)]
+/// Scoreboard slots of one instruction, pre-resolved into the per-warp
+/// 64-entry ready array: integer register `r` is slot `r`, float register
+/// `r` is slot `32 + r`. Slot 0 is `x0`, whose ready time is never
+/// written, so it doubles as "no register".
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Operands {
-    isrc: [u8; 2],
-    isrc_n: u8,
-    fsrc: [u8; 2],
-    fsrc_n: u8,
-    idst: Option<u8>,
-    fdst: Option<u8>,
+    /// Slots the scoreboard checks before issue: the sources, then the
+    /// destination (WAW). Unused entries are 0.
+    check: [u8; 3],
+    /// Slot written back at completion; 0 = none (also for `rd = x0`).
+    dst: u8,
+}
+
+/// Scoreboard slot of float register `r`.
+const fn fslot(r: u8) -> u8 {
+    32 + r
 }
 
 impl Operands {
-    fn mixed(isrc: &[u8], fsrc: &[u8], idst: Option<u8>, fdst: Option<u8>) -> Operands {
-        let mut o = Operands {
-            idst,
-            fdst,
-            isrc_n: isrc.len() as u8,
-            fsrc_n: fsrc.len() as u8,
-            ..Operands::default()
-        };
-        o.isrc[..isrc.len()].copy_from_slice(isrc);
-        o.fsrc[..fsrc.len()].copy_from_slice(fsrc);
-        o
-    }
-
-    fn int(isrc: &[u8], idst: Option<u8>) -> Operands {
-        Operands::mixed(isrc, &[], idst, None)
-    }
-
-    /// All integer-file registers the scoreboard must check (sources, then
-    /// the destination for WAW).
-    fn ints(&self) -> impl Iterator<Item = u8> + '_ {
-        self.isrc[..self.isrc_n as usize]
-            .iter()
-            .copied()
-            .chain(self.idst)
-    }
-
-    /// All float-file registers the scoreboard must check.
-    fn floats(&self) -> impl Iterator<Item = u8> + '_ {
-        self.fsrc[..self.fsrc_n as usize]
-            .iter()
-            .copied()
-            .chain(self.fdst)
+    /// `srcs` then `dst` as the checked slots. No instruction reads three
+    /// registers, so the destination always fits.
+    fn new(srcs: &[u8], dst: u8) -> Operands {
+        let mut check = [0; 3];
+        check[..srcs.len()].copy_from_slice(srcs);
+        check[srcs.len()] = dst;
+        Operands { check, dst }
     }
 }
 
-/// Per-warp issue snapshot: the pre-resolved macro-op at the warp's
-/// current PC plus the first cycle its scoreboard operands are ready.
-///
-/// Everything in here is a function of the warp's PC and its own register
-/// ready-times, and those change *only* when the warp itself issues (or is
-/// respawned/reset) — other warps' issues touch shared LSU/MSHR state, which
-/// is deliberately kept out of the snapshot. So the per-cycle issue scan
-/// can reuse the snapshot across ticks instead of re-walking the operands
-/// and re-fetching the macro-op for every blocked warp every cycle.
-#[derive(Debug, Clone, Copy)]
-enum IssueSlot {
-    /// The warp issued (or was reset/respawned) since the last resolve;
-    /// re-resolve before use.
-    Stale,
-    /// The warp's PC is outside the program: scanning it faults the tick,
-    /// exactly like the raw fetch failure it stands for.
-    BadPc,
-    /// Resolved macro-op and first scoreboard-ready cycle.
-    Ready { mop: MacroOp, t_sb: u64 },
+/// Per-warp scoreboard: the first cycle each slot (see [`Operands`]) is
+/// ready.
+type Ready = [u64; 64];
+
+/// Latest ready-cycle over an instruction's checked slots: the first cycle
+/// at which the scoreboard no longer blocks it. Three loads, two `max`.
+#[inline]
+fn ready_of(ready: &Ready, ops: &Operands) -> u64 {
+    // Slots are < 64 by construction; the mask only lets the compiler drop
+    // the bounds checks.
+    let [a, b, c] = ops.check;
+    ready[a as usize & 63]
+        .max(ready[b as usize & 63])
+        .max(ready[c as usize & 63])
 }
 
 /// Outcome of one [`Core::tick`].
@@ -138,39 +114,36 @@ impl Iterator for Lanes {
     }
 }
 
-/// Source/destination registers of an instruction for the scoreboard.
-/// Fixed-size (at most two sources per file, one destination each) so the
-/// per-cycle issue scan never allocates. The trace cache pre-resolves this
-/// per PC; only the reference path and cache fills call it directly.
+/// Scoreboard slots of an instruction. The trace cache pre-resolves this
+/// per PC; only the reference path, cache fills and the debug cross-checks
+/// call it directly.
 pub(crate) fn regs_of(i: &Instr) -> Operands {
     match *i {
-        Instr::Lui { rd, .. } => Operands::int(&[], Some(rd)),
-        Instr::OpImm { rd, rs1, .. } => Operands::int(&[rs1], Some(rd)),
-        Instr::Op { rd, rs1, rs2, .. } | Instr::MulDiv { rd, rs1, rs2, .. } => {
-            Operands::int(&[rs1, rs2], Some(rd))
+        Instr::Lui { rd, .. } | Instr::Jal { rd, .. } | Instr::CsrRead { rd, .. } => {
+            Operands::new(&[], rd)
         }
-        Instr::Lw { rd, rs1, .. } => Operands::int(&[rs1], Some(rd)),
-        Instr::Sw { rs1, rs2, .. } => Operands::int(&[rs1, rs2], None),
-        Instr::Branch { rs1, rs2, .. } => Operands::int(&[rs1, rs2], None),
-        Instr::Jal { rd, .. } => Operands::int(&[], Some(rd)),
-        Instr::Jalr { rd, rs1, .. } => Operands::int(&[rs1], Some(rd)),
-        Instr::Flw { rd, rs1, .. } => Operands::mixed(&[rs1], &[], None, Some(rd)),
-        Instr::Fsw { rs1, rs2, .. } => Operands::mixed(&[rs1], &[rs2], None, None),
-        Instr::FpOp { rd, rs1, rs2, .. } => Operands::mixed(&[], &[rs1, rs2], None, Some(rd)),
-        Instr::FpUn { rd, rs1, .. } => Operands::mixed(&[], &[rs1], None, Some(rd)),
-        Instr::FpCmp { rd, rs1, rs2, .. } => Operands::mixed(&[], &[rs1, rs2], Some(rd), None),
+        Instr::OpImm { rd, rs1, .. } | Instr::Lw { rd, rs1, .. } | Instr::Jalr { rd, rs1, .. } => {
+            Operands::new(&[rs1], rd)
+        }
+        Instr::Op { rd, rs1, rs2, .. }
+        | Instr::MulDiv { rd, rs1, rs2, .. }
+        | Instr::Amo { rd, rs1, rs2, .. } => Operands::new(&[rs1, rs2], rd),
+        Instr::Sw { rs1, rs2, .. }
+        | Instr::Branch { rs1, rs2, .. }
+        | Instr::Wspawn { rs1, rs2 }
+        | Instr::Pred { rs1, rs2, .. }
+        | Instr::Bar { rs1, rs2 } => Operands::new(&[rs1, rs2], 0),
+        Instr::Tmc { rs1 } | Instr::Split { rs1, .. } => Operands::new(&[rs1], 0),
+        Instr::Join { .. } | Instr::Halt | Instr::Print { .. } => Operands::new(&[], 0),
+        Instr::Flw { rd, rs1, .. } => Operands::new(&[rs1], fslot(rd)),
+        Instr::Fsw { rs1, rs2, .. } => Operands::new(&[rs1, fslot(rs2)], 0),
+        Instr::FpOp { rd, rs1, rs2, .. } => Operands::new(&[fslot(rs1), fslot(rs2)], fslot(rd)),
+        Instr::FpUn { rd, rs1, .. } => Operands::new(&[fslot(rs1)], fslot(rd)),
+        Instr::FpCmp { rd, rs1, rs2, .. } => Operands::new(&[fslot(rs1), fslot(rs2)], rd),
         Instr::FpCvt { op, rd, rs1 } => match op {
-            CvtOp::F2I | CvtOp::F2U | CvtOp::MvF2X => Operands::mixed(&[], &[rs1], Some(rd), None),
-            CvtOp::I2F | CvtOp::U2F | CvtOp::MvX2F => Operands::mixed(&[rs1], &[], None, Some(rd)),
+            CvtOp::F2I | CvtOp::F2U | CvtOp::MvF2X => Operands::new(&[fslot(rs1)], rd),
+            CvtOp::I2F | CvtOp::U2F | CvtOp::MvX2F => Operands::new(&[rs1], fslot(rd)),
         },
-        Instr::Amo { rd, rs1, rs2, .. } => Operands::int(&[rs1, rs2], Some(rd)),
-        Instr::CsrRead { rd, .. } => Operands::int(&[], Some(rd)),
-        Instr::Tmc { rs1 } => Operands::int(&[rs1], None),
-        Instr::Wspawn { rs1, rs2 } => Operands::int(&[rs1, rs2], None),
-        Instr::Split { rs1, .. } => Operands::int(&[rs1], None),
-        Instr::Join { .. } | Instr::Halt | Instr::Print { .. } => Operands::int(&[], None),
-        Instr::Pred { rs1, rs2, .. } => Operands::int(&[rs1, rs2], None),
-        Instr::Bar { rs1, rs2 } => Operands::int(&[rs1, rs2], None),
     }
 }
 
@@ -197,10 +170,9 @@ pub struct Core {
     iregs: Vec<u32>,
     /// Float registers, same layout.
     fregs: Vec<u32>,
-    /// Scoreboard: cycle each (warp, int reg) becomes ready.
-    ireg_ready: Vec<u64>,
-    /// Scoreboard for float regs.
-    freg_ready: Vec<u64>,
+    /// Scoreboard, one [`Ready`] array per warp: ints in slots 0–31,
+    /// floats in 32–63 (see [`Operands`]).
+    reg_ready: Vec<Ready>,
     /// MSHR slots: cycle each becomes free.
     mshr_free: Vec<u64>,
     /// Cached `min(mshr_free)`. Slot times only move at miss allocation
@@ -221,21 +193,23 @@ pub struct Core {
     /// from-scratch decode path) and after a program swap.
     tcache: Option<TraceCache>,
     tcache_enabled: bool,
-    /// Per-warp issue snapshots (see [`IssueSlot`]), lazily refreshed by
-    /// the issue scan and invalidated only where a warp's PC or its own
-    /// register ready-times can change: its own issue, WSPAWN, and launch
-    /// reset.
-    islots: Vec<IssueSlot>,
-    /// Flat mirror of each snapshot's scoreboard-ready cycle, so the
-    /// per-cycle scan touches 8 bytes per warp instead of the whole
-    /// [`IssueSlot`]. `u64::MAX` marks a stale snapshot; a resolved
-    /// `BadPc` snapshot mirrors as 0 so the scan funnels it into the
-    /// issue path, which faults on the slot. Kept in lockstep with
-    /// `islots` by [`refresh_slot`](Core::refresh_slot) and the
-    /// invalidation sites.
+    /// Per-warp issue snapshots, one flat array or bit mask per field: the
+    /// macro-op at the warp's PC (`scan_mop`), the first cycle its
+    /// scoreboard operands are ready (`scan_tsb`), whether it goes through
+    /// the LSU (`mem_mask`) and whether the PC is outside the program
+    /// (`bad_pc`). All of it is a function of the warp's PC and its own
+    /// register ready-times, which change only when the warp itself
+    /// issues, is respawned or is reset; other warps' issues touch shared
+    /// LSU/MSHR state, which stays out of the snapshot. So the per-cycle
+    /// scan reads 8 bytes per blocked warp instead of re-walking operands
+    /// and re-fetching the macro-op. [`refresh_slot`](Core::refresh_slot)
+    /// writes all four; `scan_tsb = u64::MAX` marks a stale snapshot, and
+    /// a bad PC reads as "ready now" (0) so the scan funnels the warp into
+    /// the issue path, which faults on it.
+    scan_mop: Vec<MacroOp>,
     scan_tsb: Vec<u64>,
-    /// Flat mirror of each snapshot's `is_mem` flag (same lifecycle).
-    scan_mem: Vec<bool>,
+    mem_mask: u64,
+    bad_pc: u64,
     /// Bit per warp: active and not parked at a barrier — the candidates
     /// the per-cycle issue scan must consider. Maintained at the
     /// activation/halt/park/release sites so the scan reads *no* per-warp
@@ -290,8 +264,7 @@ impl Core {
             ],
             iregs: vec![0; regs],
             fregs: vec![0; regs],
-            ireg_ready: vec![0; (w * 32) as usize],
-            freg_ready: vec![0; (w * 32) as usize],
+            reg_ready: vec![[0; 64]; w as usize],
             mshr_free: vec![0; cfg.mshrs as usize],
             mshr_min: 0,
             lsu_next_free: 0,
@@ -301,9 +274,10 @@ impl Core {
             active_n: 0,
             tcache: None,
             tcache_enabled: !cfg.reference_mode,
-            islots: vec![IssueSlot::Stale; w as usize],
+            scan_mop: vec![MacroOp::decode(Instr::Halt); w as usize],
             scan_tsb: vec![u64::MAX; w as usize],
-            scan_mem: vec![false; w as usize],
+            mem_mask: 0,
+            bad_pc: 0,
             ready_mask: 0,
             parked_mask: 0,
             barrier_waiters: Vec::new(),
@@ -337,14 +311,12 @@ impl Core {
         self.parked_mask = 0;
         self.iregs.fill(0);
         self.fregs.fill(0);
-        self.ireg_ready.fill(0);
-        self.freg_ready.fill(0);
+        self.reg_ready.fill([0; 64]);
         self.mshr_free.fill(0);
         self.mshr_min = 0;
         self.lsu_next_free = 0;
         self.dcache.flush();
         self.rr_next = 0;
-        self.islots.fill(IssueSlot::Stale);
         self.scan_tsb.fill(u64::MAX);
         self.barrier_waiters.clear();
         self.next_event = 0;
@@ -367,38 +339,38 @@ impl Core {
     /// issue snapshots hold macro-ops resolved from it, so they go too.
     pub(crate) fn invalidate_tcache(&mut self) {
         self.tcache = None;
-        self.islots.fill(IssueSlot::Stale);
         self.scan_tsb.fill(u64::MAX);
     }
 
-    /// Mark one warp's issue snapshot stale (its PC or ready-times moved).
-    #[inline]
-    fn invalidate_slot(&mut self, wi: usize) {
-        self.islots[wi] = IssueSlot::Stale;
-        self.scan_tsb[wi] = u64::MAX;
-    }
-
     /// Re-resolve one warp's issue snapshot from its current PC and
-    /// register ready-times.
-    fn refresh_slot(&mut self, wi: usize, program: &Program) -> IssueSlot {
+    /// register ready-times. The macro-op is copied straight from the
+    /// trace-cache slot into `scan_mop`; in `reference_mode` it is decoded
+    /// from scratch.
+    #[inline]
+    fn refresh_slot(&mut self, wi: usize, program: &Program) {
         let pc = self.warps[wi].pc;
-        let slot = match self.mop_at(pc, program) {
-            Some(mop) => {
-                let t_sb = self.operands_ready_of(wi as u32, &mop.ops);
-                self.scan_tsb[wi] = t_sb;
-                self.scan_mem[wi] = mop.is_mem;
-                IssueSlot::Ready { mop, t_sb }
-            }
-            None => {
-                // Mirror as "ready now" so the scan funnels the warp into
-                // the issue path, which faults on the BadPc slot.
-                self.scan_tsb[wi] = 0;
-                self.scan_mem[wi] = false;
-                IssueSlot::BadPc
-            }
+        let dst = &mut self.scan_mop[wi];
+        let found = if self.tcache_enabled {
+            self.tcache
+                .get_or_insert_with(|| TraceCache::new(program.instrs.len()))
+                .get(pc, program)
+                .map(|m| *dst = *m)
+        } else {
+            program
+                .instrs
+                .get(pc as usize)
+                .map(|&i| *dst = MacroOp::decode(i))
         };
-        self.islots[wi] = slot;
-        slot
+        if found.is_some() {
+            let mop = &self.scan_mop[wi];
+            self.scan_tsb[wi] = ready_of(&self.reg_ready[wi], &mop.ops);
+            self.mem_mask = self.mem_mask & !(1 << wi) | (mop.is_mem as u64) << wi;
+            self.bad_pc &= !(1 << wi);
+        } else {
+            self.scan_tsb[wi] = 0;
+            self.mem_mask &= !(1 << wi);
+            self.bad_pc |= 1 << wi;
+        }
     }
 
     /// Whether the macro-op cache has been materialized (the zero-overhead
@@ -420,25 +392,6 @@ impl Core {
                 c
             }
             None => (0, 0, 0, 0),
-        }
-    }
-
-    /// The pre-decoded macro-op at `pc`, from the trace cache when enabled
-    /// or decoded on the spot in `reference_mode`. `None` = PC outside the
-    /// program, identical to a raw fetch failure.
-    #[inline]
-    fn mop_at(&mut self, pc: u32, program: &Program) -> Option<MacroOp> {
-        if self.tcache_enabled {
-            self.tcache
-                .get_or_insert_with(|| TraceCache::new(program.instrs.len()))
-                .get(pc, program)
-        } else {
-            let instr = *program.instrs.get(pc as usize)?;
-            Some(MacroOp {
-                instr,
-                ops: regs_of(&instr),
-                is_mem: is_mem(&instr),
-            })
         }
     }
 
@@ -479,14 +432,8 @@ impl Core {
     }
 
     fn mark_dest(&mut self, warp: u32, ops: &Operands, ready_at: u64) {
-        let base = (warp * 32) as usize;
-        if let Some(r) = ops.idst {
-            if r != 0 {
-                self.ireg_ready[base + r as usize] = ready_at;
-            }
-        }
-        if let Some(r) = ops.fdst {
-            self.freg_ready[base + r as usize] = ready_at;
+        if ops.dst != 0 {
+            self.reg_ready[warp as usize][ops.dst as usize & 63] = ready_at;
         }
     }
 
@@ -563,7 +510,7 @@ impl Core {
                     self.refresh_slot(wi, program);
                     t_sb = self.scan_tsb[wi];
                 }
-                let t_ready = if self.scan_mem[wi] {
+                let t_ready = if self.mem_mask & (1 << wi) != 0 {
                     // Both conditions must hold at once; both are monotone,
                     // so the max is the exact first issuable cycle.
                     t_sb.max(mshr_min)
@@ -579,18 +526,21 @@ impl Core {
                     next_event = next_event.min(t_ready);
                     continue;
                 }
-                let IssueSlot::Ready { mop, .. } = self.islots[wi] else {
+                if self.bad_pc & (1 << wi) != 0 {
                     return Err(SimError::BadPc {
                         core: self.id,
                         warp: wi as u32,
                         pc: self.warps[wi].pc,
                     });
-                };
+                }
+                let mop = self.scan_mop[wi];
+                #[cfg(debug_assertions)]
+                self.check_snapshot(wi, &mop, program);
                 if !amo_ok && matches!(mop.instr, Instr::Amo { .. }) {
                     return Ok(TickResult::AmoPending);
                 }
                 // Issue.
-                self.rr_next = (wi + 1) % n;
+                self.rr_next = if wi + 1 == n { 0 } else { wi + 1 };
                 self.stats.instructions += 1;
                 sink.event(&TraceEvent::Issue {
                     core: self.id,
@@ -600,7 +550,7 @@ impl Core {
                 });
                 self.execute(now, wi as u32, mop, program, mem, view, printf_out, sink)?;
                 // The issue moved the warp's PC and its register ready-times.
-                self.invalidate_slot(wi);
+                self.scan_tsb[wi] = u64::MAX;
                 return Ok(TickResult::Issued);
             }
         }
@@ -641,7 +591,7 @@ impl Core {
                 // Bad PC: step densely so the next tick reports it.
                 return now + 1;
             };
-            let mut ready = self.operands_ready_at(wi as u32, instr);
+            let mut ready = self.operands_ready_at(wi, instr);
             if is_mem(instr) {
                 ready = ready.max(self.mshr_min);
             }
@@ -728,17 +678,14 @@ impl Core {
         let Some(wi) = first else {
             return [(StallKind::Barrier, from, to), (StallKind::Barrier, to, to)];
         };
-        let slot = match self.islots[wi] {
-            IssueSlot::Stale => self.refresh_slot(wi, program),
-            s => s,
-        };
-        let IssueSlot::Ready { mop, t_sb: ready } = slot else {
-            // Unreachable: next_issue_cycle forces dense stepping on a bad
-            // PC, so no span is ever opened over one.
-            return [(StallKind::Scoreboard, from, from); 2];
-        };
-        let split = ready.clamp(from, to);
-        if mop.is_mem {
+        if self.scan_tsb[wi] == u64::MAX {
+            self.refresh_slot(wi, program);
+        }
+        // next_issue_cycle forces dense stepping on a bad PC, so no span
+        // is ever opened over one.
+        debug_assert_eq!(self.bad_pc & (1 << wi), 0, "stall span over a bad PC");
+        let split = self.scan_tsb[wi].clamp(from, to);
+        if self.mem_mask & (1 << wi) != 0 {
             [
                 (StallKind::Scoreboard, from, split),
                 (StallKind::LsuFull, split, to),
@@ -754,28 +701,24 @@ impl Core {
         }
     }
 
-    /// [`operands_ready_of`](Core::operands_ready_of) with a from-scratch
-    /// decode — the trace-cache-independent path `next_issue_cycle` uses as
-    /// a cross-check.
-    fn operands_ready_at(&self, warp: u32, i: &Instr) -> u64 {
-        self.operands_ready_of(warp, &regs_of(i))
+    /// Scoreboard-ready cycle of `i` for warp `wi` from a from-scratch
+    /// decode — the trace-cache-independent path the cross-checks use.
+    fn operands_ready_at(&self, wi: usize, i: &Instr) -> u64 {
+        ready_of(&self.reg_ready[wi], &regs_of(i))
     }
 
-    /// Latest ready-cycle over the scoreboard operands: the first cycle at
-    /// which the scoreboard no longer blocks the instruction.
-    fn operands_ready_of(&self, warp: u32, ops: &Operands) -> u64 {
-        let base = (warp * 32) as usize;
-        let ir = ops
-            .ints()
-            .map(|r| self.ireg_ready[base + r as usize])
-            .max()
-            .unwrap_or(0);
-        let fr = ops
-            .floats()
-            .map(|r| self.freg_ready[base + r as usize])
-            .max()
-            .unwrap_or(0);
-        ir.max(fr)
+    /// Debug cross-check at issue time: the cached snapshot must equal a
+    /// from-scratch decode of the warp's PC and a fresh scoreboard walk, so
+    /// a missed invalidation shows on the first issue it affects.
+    #[cfg(debug_assertions)]
+    fn check_snapshot(&self, wi: usize, mop: &MacroOp, program: &Program) {
+        let instr = program.instrs[self.warps[wi].pc as usize];
+        debug_assert_eq!(*mop, MacroOp::decode(instr), "stale issue snapshot");
+        debug_assert_eq!(
+            self.scan_tsb[wi],
+            self.operands_ready_at(wi, &instr),
+            "stale scoreboard-ready cycle in the issue snapshot"
+        );
     }
 
     /// The next-event cycle cached by the last tick that issued nothing.
@@ -1170,7 +1113,6 @@ impl Core {
                     warp.stack.clear();
                     // The spawn rewrote this warp's PC out from under its
                     // issue snapshot.
-                    self.islots[w as usize] = IssueSlot::Stale;
                     self.scan_tsb[w as usize] = u64::MAX;
                     self.ready_mask |= 1 << w;
                     self.parked_mask &= !(1 << w);
@@ -1512,7 +1454,7 @@ mod tests {
             rs1: abi::T0,
             imm: 1,
         });
-        core.ireg_ready[abi::T0 as usize] = 40;
+        core.reg_ready[0][abi::T0 as usize] = 40;
         assert_eq!(core.next_issue_cycle(7, &p), 40);
         // The whole span is a scoreboard stall for a non-memory instruction.
         core.fast_forward_stalls(8, 40, &p, &mut NopSink);
@@ -1529,7 +1471,7 @@ mod tests {
             rs1: abi::T0,
             imm: 0,
         });
-        core.ireg_ready[abi::T0 as usize] = 10;
+        core.reg_ready[0][abi::T0 as usize] = 10;
         core.mshr_free.fill(33);
         core.mshr_min = 33;
         // Operands ready at 10, but every MSHR is busy until 33.
@@ -1550,6 +1492,201 @@ mod tests {
         core.fast_forward_stalls(6, 20, &p, &mut NopSink);
         assert_eq!(core.stats.stall_barrier, 14);
         assert_eq!(core.stats.stall_scoreboard, 0);
+    }
+
+    /// Integer sources, float sources, integer destination, float
+    /// destination.
+    type TwoFile = (Vec<u8>, Vec<u8>, Option<u8>, Option<u8>);
+
+    /// The two-file operand walk the slot scoreboard replaced.
+    fn two_file(i: &Instr) -> TwoFile {
+        match *i {
+            Instr::Lui { rd, .. } | Instr::Jal { rd, .. } | Instr::CsrRead { rd, .. } => {
+                (vec![], vec![], Some(rd), None)
+            }
+            Instr::OpImm { rd, rs1, .. }
+            | Instr::Lw { rd, rs1, .. }
+            | Instr::Jalr { rd, rs1, .. } => (vec![rs1], vec![], Some(rd), None),
+            Instr::Op { rd, rs1, rs2, .. }
+            | Instr::MulDiv { rd, rs1, rs2, .. }
+            | Instr::Amo { rd, rs1, rs2, .. } => (vec![rs1, rs2], vec![], Some(rd), None),
+            Instr::Sw { rs1, rs2, .. }
+            | Instr::Branch { rs1, rs2, .. }
+            | Instr::Wspawn { rs1, rs2 }
+            | Instr::Pred { rs1, rs2, .. }
+            | Instr::Bar { rs1, rs2 } => (vec![rs1, rs2], vec![], None, None),
+            Instr::Tmc { rs1 } | Instr::Split { rs1, .. } => (vec![rs1], vec![], None, None),
+            Instr::Join { .. } | Instr::Halt | Instr::Print { .. } => (vec![], vec![], None, None),
+            Instr::Flw { rd, rs1, .. } => (vec![rs1], vec![], None, Some(rd)),
+            Instr::Fsw { rs1, rs2, .. } => (vec![rs1], vec![rs2], None, None),
+            Instr::FpOp { rd, rs1, rs2, .. } => (vec![], vec![rs1, rs2], None, Some(rd)),
+            Instr::FpUn { rd, rs1, .. } => (vec![], vec![rs1], None, Some(rd)),
+            Instr::FpCmp { rd, rs1, rs2, .. } => (vec![], vec![rs1, rs2], Some(rd), None),
+            Instr::FpCvt { op, rd, rs1 } => match op {
+                CvtOp::F2I | CvtOp::F2U | CvtOp::MvF2X => (vec![], vec![rs1], Some(rd), None),
+                CvtOp::I2F | CvtOp::U2F | CvtOp::MvX2F => (vec![rs1], vec![], None, Some(rd)),
+            },
+        }
+    }
+
+    /// One instance of every `Instr` variant (every `FpCvt` direction).
+    fn every_variant(rd: u8, rs1: u8, rs2: u8) -> Vec<Instr> {
+        let mut v = vec![
+            Instr::Lui { rd, imm: 1 },
+            Instr::OpImm {
+                op: AluOp::Add,
+                rd,
+                rs1,
+                imm: 1,
+            },
+            Instr::Op {
+                op: AluOp::Add,
+                rd,
+                rs1,
+                rs2,
+            },
+            Instr::MulDiv {
+                op: MulOp::Mul,
+                rd,
+                rs1,
+                rs2,
+            },
+            Instr::Lw { rd, rs1, imm: 0 },
+            Instr::Sw { rs1, rs2, imm: 0 },
+            Instr::Branch {
+                cond: BranchCond::Eq,
+                rs1,
+                rs2,
+                offset: 1,
+            },
+            Instr::Jal { rd, offset: 1 },
+            Instr::Jalr { rd, rs1, imm: 0 },
+            Instr::Flw { rd, rs1, imm: 0 },
+            Instr::Fsw { rs1, rs2, imm: 0 },
+            Instr::FpOp {
+                op: FpOp::Add,
+                rd,
+                rs1,
+                rs2,
+            },
+            Instr::FpUn {
+                op: FpUnOp::Sqrt,
+                rd,
+                rs1,
+            },
+            Instr::FpCmp {
+                op: FpCmpOp::Lt,
+                rd,
+                rs1,
+                rs2,
+            },
+            Instr::Amo {
+                op: AmoOp::Add,
+                rd,
+                rs1,
+                rs2,
+            },
+            Instr::CsrRead {
+                rd,
+                csr: Csr::ThreadId,
+            },
+            Instr::Tmc { rs1 },
+            Instr::Wspawn { rs1, rs2 },
+            Instr::Split { rs1, else_off: 1 },
+            Instr::Join { off: 1 },
+            Instr::Pred {
+                rs1,
+                rs2,
+                exit_off: 1,
+            },
+            Instr::Bar { rs1, rs2 },
+            Instr::Print { fmt: 0 },
+            Instr::Halt,
+        ];
+        for op in [
+            CvtOp::F2I,
+            CvtOp::F2U,
+            CvtOp::MvF2X,
+            CvtOp::I2F,
+            CvtOp::U2F,
+            CvtOp::MvX2F,
+        ] {
+            v.push(Instr::FpCvt { op, rd, rs1 });
+        }
+        v
+    }
+
+    #[test]
+    fn slot_scoreboard_matches_the_two_file_walk() {
+        let mut rng = repro_util::rng::Rng::new(0x5c0e);
+        for _ in 0..300 {
+            // Small register numbers, so x0/f0 and repeats come up often.
+            let [rd, rs1, rs2] = [(); 3].map(|_| rng.below(4) as u8);
+            let mut ready: Ready = [0; 64];
+            for r in &mut ready[1..] {
+                *r = rng.below(50);
+            }
+            for i in every_variant(rd, rs1, rs2) {
+                let (ints, floats, idst, fdst) = two_file(&i);
+                assert!(
+                    ints.len() + floats.len() + idst.iter().len() + fdst.iter().len() <= 3,
+                    "{i:?} needs more than 3 scoreboard slots"
+                );
+                let want = ints
+                    .iter()
+                    .chain(&idst)
+                    .map(|&r| ready[r as usize])
+                    .chain(floats.iter().chain(&fdst).map(|&r| ready[32 + r as usize]))
+                    .max()
+                    .unwrap_or(0);
+                let ops = regs_of(&i);
+                assert_eq!(ready_of(&ready, &ops), want, "{i:?}");
+                let want_dst = match (idst, fdst) {
+                    (Some(r), None) => r,
+                    (None, Some(r)) => fslot(r),
+                    (None, None) => 0,
+                    (Some(_), Some(_)) => unreachable!("one destination per instruction"),
+                };
+                assert_eq!(ops.dst, want_dst, "{i:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn x0_never_blocks_and_is_never_marked() {
+        let mut core = test_core(1, 4);
+        core.reg_ready[0][1..].fill(500);
+        let x0_only = Instr::Op {
+            op: AluOp::Add,
+            rd: abi::ZERO,
+            rs1: abi::ZERO,
+            rs2: abi::ZERO,
+        };
+        assert_eq!(core.operands_ready_at(0, &x0_only), 0, "x0 never blocks");
+        core.mark_dest(0, &regs_of(&x0_only), 900);
+        assert_eq!(core.reg_ready[0][0], 0, "x0 is never marked");
+    }
+
+    #[test]
+    fn f0_destination_blocks_a_later_reader() {
+        let mut core = test_core(1, 4);
+        let write_f0 = Instr::FpUn {
+            op: FpUnOp::Sqrt,
+            rd: 0,
+            rs1: 1,
+        };
+        core.mark_dest(0, &regs_of(&write_f0), 30);
+        let read_f0 = Instr::FpOp {
+            op: FpOp::Add,
+            rd: 2,
+            rs1: 3,
+            rs2: 0,
+        };
+        assert_eq!(core.operands_ready_at(0, &read_f0), 30);
+        let p = one_instr(read_f0);
+        assert_eq!(core.next_issue_cycle(7, &p), 30);
+        let read_x0 = Instr::Tmc { rs1: abi::ZERO };
+        assert_eq!(core.operands_ready_at(0, &read_x0), 0, "f0 is not x0");
     }
 
     #[test]

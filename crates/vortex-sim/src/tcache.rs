@@ -21,11 +21,23 @@ use vortex_isa::{Instr, Program};
 
 /// One pre-decoded instruction: the raw instruction plus everything the
 /// per-cycle paths would otherwise re-derive from it.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct MacroOp {
     pub instr: Instr,
     pub ops: Operands,
     pub is_mem: bool,
+}
+
+impl MacroOp {
+    /// From-scratch decode of one instruction: what a cache fill stores,
+    /// and all `reference_mode` ever uses.
+    pub fn decode(instr: Instr) -> MacroOp {
+        MacroOp {
+            instr,
+            ops: regs_of(&instr),
+            is_mem: is_mem(&instr),
+        }
+    }
 }
 
 /// Per-core trace cache: one slot per PC, filled a straight-line run at a
@@ -74,38 +86,30 @@ impl TraceCache {
 
     /// The macro-op at `pc`, decoding its straight-line run on first touch.
     /// `None` means the PC is outside the program (the caller raises the
-    /// same `BadPc` the raw fetch would).
+    /// same `BadPc` the raw fetch would). The caller copies the slot
+    /// straight into its issue snapshot.
     #[inline]
-    pub fn get(&mut self, pc: u32, program: &Program) -> Option<MacroOp> {
-        match self.slots.get(pc as usize) {
-            Some(Some(m)) => {
-                self.hits += 1;
-                Some(*m)
-            }
-            Some(None) => self.fill_run(pc, program),
-            None => None,
+    pub fn get(&mut self, pc: u32, program: &Program) -> Option<&MacroOp> {
+        let i = pc as usize;
+        match self.slots.get(i)? {
+            Some(_) => self.hits += 1,
+            None => self.fill_run(i, program),
         }
+        self.slots[i].as_ref()
     }
 
     /// Decode the straight-line run starting at `pc` into the cache. Stops
     /// at (and includes) the first run-ending instruction, at the end of
     /// the program, or where it meets an already-decoded slot.
     #[cold]
-    fn fill_run(&mut self, pc: u32, program: &Program) -> Option<MacroOp> {
+    fn fill_run(&mut self, pc: usize, program: &Program) {
         self.misses += 1;
         self.runs += 1;
-        let mut j = pc as usize;
-        let mut first: Option<MacroOp> = None;
+        let mut j = pc;
         loop {
-            let instr = program.instrs[j];
-            let m = MacroOp {
-                instr,
-                ops: regs_of(&instr),
-                is_mem: is_mem(&instr),
-            };
+            let m = MacroOp::decode(program.instrs[j]);
             self.slots[j] = Some(m);
             self.fused_ops += 1;
-            first.get_or_insert(m);
             if ends_run(&m.instr) {
                 break;
             }
@@ -114,6 +118,5 @@ impl TraceCache {
                 break;
             }
         }
-        first
     }
 }
